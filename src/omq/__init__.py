@@ -25,7 +25,8 @@ from .chase import (ChaseResult, Trigger, chase_bounded, chase_nr, chase_step,
 from .rewrite import (DEFAULT_BUDGET, WitnessBound, cq_isomorphic,
                       factorize_step, is_applicable, is_factorizable, mgu,
                       rewrite_step, witness_bound, xrewrite)
-from .evaluate import certain_answers, eval_membership, evaluate_cq, evaluate_ucq
+from .evaluate import (certain_answers, eval_membership, evaluate_cq,
+                       evaluate_ucq, prepare)
 from .contain import (ContainmentVerdict, brute_force_contains, contains,
                       coeval_to_cocontainment, equivalent, eval_to_containment,
                       is_unsatisfiable, ucq_omq_to_cq_omq)

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .classify import classify
-from .contain import contains, is_unsatisfiable, ucq_omq_to_cq_omq
+from .contain import rewriting_contained, ucq_omq_to_cq_omq
 from .errors import EmptyBody, UnsupportedClass, ZeroAryAtom
-from .evaluate import certain_answers
+from .evaluate import prepare, ucq_evaluator
 from .model import CQ, OMQ, UCQ, Atom, Database
+from .rewrite import xrewrite
 
 
 def components(atoms: Iterable[Atom]) -> list[frozenset[Atom]]:
@@ -103,14 +104,18 @@ def distributes(omq: OMQ, budget: Optional[int] = None) -> DistributionVerdict:
     if not classify(omq.tgds).ucq_rewritable:
         raise UnsupportedClass(
             "distribution is decided for linear/non-recursive/sticky sets only")
-    if is_unsatisfiable(omq, budget=budget):
+    rewriting = xrewrite(omq, budget=budget)
+    if not rewriting:
         return DistributionVerdict(True, unsatisfiable=True)
     if query.is_true_query():
         return DistributionVerdict(False)
     parts = cq_components(query)
+    whole = ucq_evaluator(rewriting)
     for comp in parts.safe:
-        sub_omq = OMQ(omq.data_schema, omq.tgds, comp)
-        if contains(sub_omq, omq, budget=budget).contained:
+        # a query is contained in itself: a lone component needs no check
+        if comp == query or rewriting_contained(
+                xrewrite(OMQ(omq.data_schema, omq.tgds, comp), budget=budget),
+                whole).contained:
             return DistributionVerdict(True, witness=comp,
                                        unsafe_components=parts.unsafe)
     return DistributionVerdict(False, unsafe_components=parts.unsafe)
@@ -124,12 +129,13 @@ def distribution_definitional_check(
     violating database, if any."""
     from .testkit import enumerate_databases
 
+    answers = prepare(omq, budget=budget)
     for db in enumerate_databases(omq.data_schema, max_constants, max_atoms):
-        whole = certain_answers(omq, db, budget=budget)
+        whole = answers(db)
         union: set = set()
         if db.atoms:
             for comp in components(db.atoms):
-                union |= certain_answers(omq, Database(comp), budget=budget)
+                union |= answers(Database(comp))
         if whole != frozenset(union):
             return False, db
     return True, None

@@ -84,10 +84,15 @@ def chase_step(instance: Instance, trigger: Trigger,
     return Instance(instance.atoms | _fire(trigger, nulls))
 
 
-def _run_to_fixpoint(atoms: set[Atom], level_of: dict[Atom, int],
+def _run_to_fixpoint(atoms: set[Atom], index: dict, level_of: dict[Atom, int],
                      tgds: Sequence[tuple[int, TGD]], nulls: NullFactory,
                      max_level: Optional[int]) -> tuple[int, bool]:
     """Saturate ``atoms`` under ``tgds``; returns (steps, capped).
+
+    ``index`` is the live fact index of ``atoms`` and grows with it. Each
+    round first collects the triggers of every tgd over the atoms at the
+    start of the round, then fires them in order; the head checks see
+    every atom fired so far.
 
     ``capped`` reports that some trigger was left unfired because its derived
     atoms would exceed ``max_level``.
@@ -96,24 +101,27 @@ def _run_to_fixpoint(atoms: set[Atom], level_of: dict[Atom, int],
     capped = False
     while True:
         fired_any = False
-        index = homs.index_by_predicate(atoms)
         instance = Instance(atoms)
-        for i, t in tgds:
-            for trigger in find_triggers(instance, t, i, index=index):
-                image = trigger.image()
-                new_level = 1 + max((level_of[a] for a in image), default=0)
-                if max_level is not None and new_level > max_level:
-                    capped = True
-                    continue
-                if _head_satisfied(atoms, trigger):
-                    continue
-                produced = _fire(trigger, nulls)
-                steps += 1
-                fired_any = True
-                for a in produced:
-                    if a not in level_of or level_of[a] > new_level:
-                        level_of[a] = new_level
-                atoms.update(produced)
+        triggers = [trigger for i, t in tgds
+                    for trigger in find_triggers(instance, t, i, index=index)]
+        for trigger in triggers:
+            image = trigger.image()
+            new_level = 1 + max((level_of[a] for a in image), default=0)
+            if max_level is not None and new_level > max_level:
+                capped = True
+                continue
+            if _head_satisfied(atoms, trigger, index=index):
+                continue
+            produced = _fire(trigger, nulls)
+            steps += 1
+            fired_any = True
+            for a in produced:
+                if a not in atoms:
+                    atoms.add(a)
+                    homs.add_fact(index, a)
+                    level_of[a] = new_level
+                elif level_of[a] > new_level:
+                    level_of[a] = new_level
         if not fired_any:
             return steps, capped
 
@@ -127,17 +135,14 @@ def chase_nr(db: Database, tgds: Sequence[TGD]) -> ChaseResult:
             "chase_nr needs a non-recursive rule set; predicate cycle "
             + " -> ".join(p.name for p in strat.cycle))
     atoms = set(db.atoms)
+    index = homs.index_by_predicate(atoms)
     level_of = {a: 0 for a in atoms}
     nulls = NullFactory(1)
     steps = 0
     for stratum in strat.strata:
         indexed = [(i, tgds[i]) for i in stratum]
-        s, _ = _run_to_fixpoint(atoms, level_of, indexed, nulls, None)
+        s, _ = _run_to_fixpoint(atoms, index, level_of, indexed, nulls, None)
         steps += s
-    # defensive second pass over everything; a correct stratification
-    # leaves nothing to fire
-    s, _ = _run_to_fixpoint(atoms, level_of, list(enumerate(tgds)), nulls, None)
-    steps += s
     return ChaseResult(Instance(atoms), steps, True, level_of)
 
 
@@ -152,10 +157,11 @@ def chase_bounded(db: Database, tgds: Sequence[TGD], max_level: int) -> ChaseRes
         raise PreconditionViolated("max_level must be >= 0")
     tgds = list(tgds)
     atoms = set(db.atoms)
+    index = homs.index_by_predicate(atoms)
     level_of = {a: 0 for a in atoms}
     nulls = NullFactory(1)
-    steps, _ = _run_to_fixpoint(atoms, level_of, list(enumerate(tgds)), nulls,
-                                max_level)
+    steps, _ = _run_to_fixpoint(atoms, index, level_of, list(enumerate(tgds)),
+                                nulls, max_level)
     instance = Instance(atoms)
     complete, _ = satisfies(instance, tgds)
     return ChaseResult(instance, steps, complete, level_of)

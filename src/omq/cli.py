@@ -32,7 +32,12 @@ def _budget(args) -> int:
     if getattr(args, "budget", None) is not None:
         return args.budget
     env = os.environ.get("OMQ_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise OmqError(f"OMQ_BUDGET must be an integer, got {env!r}") from None
 
 
 def _load(args):
@@ -216,9 +221,10 @@ def cmd_gen(args) -> int:
     from .parser import Program
 
     if args.family:
-        if not args.family.startswith("sticky-"):
-            raise OmqError(f"unknown family {args.family!r}")
-        n = int(args.family.split("-", 1)[1])
+        prefix, _, size = args.family.partition("-")
+        if prefix != "sticky" or not size.isdigit():
+            raise OmqError(f"unknown family {args.family!r}; expected sticky-<n>")
+        n = int(size)
         omq = testkit.sticky_family(n)
         databases = {"witness": testkit.sticky_family_witness(n)}
     else:

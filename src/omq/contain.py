@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .classify import classify
 from .errors import (PreconditionViolated, SchemaMismatch, UnsupportedClass)
-from .evaluate import certain_answers, eval_membership
+from .evaluate import prepare
 from .model import (CQ, OMQ, TGD, UCQ, Atom, Constant, Database, Predicate,
                     Schema, Substitution, Term, Variable, active_domain,
                     as_ucq, freeze_cq, sorted_atoms, tgds_schema)
@@ -55,9 +55,20 @@ def contains(q1: OMQ, q2: OMQ, budget: Optional[int] = None) -> ContainmentVerdi
     _check_compatible(q1, q2)
     _require_rewritable(q1, "left")
     _require_rewritable(q2, "right")
-    for disjunct in xrewrite(q1, budget=budget):
+    disjuncts = xrewrite(q1, budget=budget)
+    if not disjuncts:  # contained in anything; q2 need not be rewritten
+        return ContainmentVerdict(True, None)
+    return rewriting_contained(disjuncts, prepare(q2, budget=budget))
+
+
+def rewriting_contained(disjuncts: Iterable[CQ],
+                        right: Callable[[Database], frozenset]) -> ContainmentVerdict:
+    """Containment of a query, given by its rewriting, in a query given by
+    its answer function (see ``evaluate.prepare``): the frozen tuple of
+    every disjunct must be among the right answers over its frozen body."""
+    for disjunct in disjuncts:
         db, tup = freeze_cq(disjunct)
-        if not eval_membership(q2, db, tup, budget=budget):
+        if tup not in right(db):
             return ContainmentVerdict(False, (db, tup))
     return ContainmentVerdict(True, None)
 
@@ -322,14 +333,17 @@ def brute_force_contains(q1: OMQ, q2: OMQ, max_constants: int, max_atoms: int,
         all(not t.constants() for t in itertools.chain(q1.tgds, q2.tgds))
         and all(not d.constants() for d in as_ucq(q1.query).disjuncts)
         and all(not d.constants() for d in as_ucq(q2.query).disjuncts))
+    left_answers = prepare(q1, budget=budget)
+    right_answers = None  # prepared on first need, as q2 may never be asked
     for db in enumerate_databases(q1.data_schema, max_constants, max_atoms):
         if constant_free and db.atoms and _canonical_database(db) != db:
             continue
-        left = certain_answers(q1, db, budget=budget)
+        left = left_answers(db)
         if not left:
             continue
-        right = certain_answers(q2, db, budget=budget)
-        missing = left - right
+        if right_answers is None:
+            right_answers = prepare(q2, budget=budget)
+        missing = left - right_answers(db)
         if missing:
             return ContainmentVerdict(False, (db, min(missing)), exact)
     return ContainmentVerdict(True, None, exact)

@@ -4,7 +4,7 @@ chase (non-recursive sets) or via UCQ rewriting (linear/NR/sticky).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import homs
 from .chase import chase_nr
@@ -45,21 +45,10 @@ def evaluate_ucq(q: CQ | UCQ, instance: Instance) -> AnswerSet:
     return frozenset(out)
 
 
-def _eval_rewriting(omq: OMQ, db: Database, budget: Optional[int]) -> AnswerSet:
-    disjuncts = xrewrite(omq, budget=budget)
-    if not disjuncts:
-        return frozenset()
-    return evaluate_ucq(UCQ(disjuncts), db.as_instance())
-
-
-def _eval_chase(omq: OMQ, db: Database) -> AnswerSet:
-    result = chase_nr(db, omq.tgds)
-    return evaluate_ucq(omq.query, result.instance)
-
-
-def certain_answers(omq: OMQ, db: Database, strategy: str = "auto",
-                    budget: Optional[int] = None) -> AnswerSet:
-    """Q(D): the certain answers of the OMQ over the database.
+def prepare(omq: OMQ, strategy: str = "auto",
+            budget: Optional[int] = None) -> Callable[[Database], AnswerSet]:
+    """The function D -> Q(D), with the OMQ classified, and under rewriting
+    rewritten, once. Use it to evaluate one OMQ over many databases.
 
     ``strategy`` is ``chase`` (requires a non-recursive rule set),
     ``rewriting`` (requires linear, non-recursive or sticky), or ``auto``
@@ -77,13 +66,29 @@ def certain_answers(omq: OMQ, db: Database, strategy: str = "auto",
     if strategy == "chase":
         if not report.non_recursive:
             raise UnsupportedClass("chase strategy needs a non-recursive rule set")
-        return _eval_chase(omq, db)
+        return lambda db: evaluate_ucq(omq.query, chase_nr(db, omq.tgds).instance)
     if strategy == "rewriting":
         if not report.ucq_rewritable:
             raise UnsupportedClass(
                 "rewriting strategy needs a linear/non-recursive/sticky rule set")
-        return _eval_rewriting(omq, db, budget)
+        return ucq_evaluator(xrewrite(omq, budget=budget))
     raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def ucq_evaluator(disjuncts: Sequence[CQ]) -> Callable[[Database], AnswerSet]:
+    """D -> the answers of the UCQ over D, as for a rewriting; no
+    disjuncts answer nothing."""
+    if not disjuncts:
+        return lambda db: frozenset()
+    ucq = UCQ(disjuncts)
+    return lambda db: evaluate_ucq(ucq, db.as_instance())
+
+
+def certain_answers(omq: OMQ, db: Database, strategy: str = "auto",
+                    budget: Optional[int] = None) -> AnswerSet:
+    """Q(D): the certain answers of the OMQ over the database (see
+    ``prepare`` for the strategies)."""
+    return prepare(omq, strategy, budget)(db)
 
 
 def eval_membership(omq: OMQ, db: Database, tup: Sequence[Constant],

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .chase import normalize_tgds
@@ -382,14 +381,25 @@ def _xrewrite_cq(q0: CQ, tgds: Sequence[TGD], s_preds: frozenset[Predicate],
     return final, steps
 
 
-def _xrewrite_impl(omq: OMQ, budget: int,
-                   trace: Optional[Callable]) -> tuple[CQ, ...]:
+def xrewrite(omq: OMQ, budget: Optional[int] = None,
+             trace: Optional[Callable] = None) -> tuple[CQ, ...]:
+    """UCQ rewriting of the OMQ over its data schema.
+
+    Returns the disjuncts in discovery order; the tuple is empty when no
+    rewriting disjunct survives the data-schema filter (an unsatisfiable
+    query). For linear, non-recursive and sticky rule sets the result
+    evaluated over any database equals the certain answers. Nothing is
+    memoized: a caller that needs one rewriting many times keeps it (see
+    ``evaluate.prepare``).
+    """
+    if budget is None:
+        budget = DEFAULT_BUDGET
     report = classify(omq.tgds)
     if not report.ucq_rewritable:
         warnings.warn(
             "rule set is none of linear/non-recursive/sticky; "
             "rewriting may not terminate before the step budget",
-            stacklevel=3)
+            stacklevel=2)
     tgds = normalize_tgds(omq.tgds)
     s_preds = frozenset(omq.data_schema.predicates)
     out: list[CQ] = []
@@ -405,26 +415,6 @@ def _xrewrite_impl(omq: OMQ, budget: int,
                 seen.add(e)
                 out.append(q)
     return tuple(out)
-
-
-@lru_cache(maxsize=256)
-def _xrewrite_cached(omq: OMQ, budget: int) -> tuple[CQ, ...]:
-    return _xrewrite_impl(omq, budget, None)
-
-
-def xrewrite(omq: OMQ, budget: Optional[int] = None,
-             trace: Optional[Callable] = None) -> tuple[CQ, ...]:
-    """UCQ rewriting of the OMQ over its data schema.
-
-    Returns the disjuncts in discovery order; the tuple is empty when no
-    rewriting disjunct survives the data-schema filter (an unsatisfiable
-    query). For linear, non-recursive and sticky rule sets the result
-    evaluated over any database equals the certain answers.
-    """
-    b = DEFAULT_BUDGET if budget is None else budget
-    if trace is not None:
-        return _xrewrite_impl(omq, b, trace)
-    return _xrewrite_cached(omq, b)
 
 
 # -- witness-size bounds ------------------------------------------------------

@@ -28,6 +28,33 @@ def naive_evaluate_cq(q: CQ, instance: Instance) -> frozenset:
     return frozenset(out)
 
 
+def scan_homomorphisms(atoms, facts, binding=None):
+    """The scan-based search ``homs`` used before its positional index: at
+    each node every pending atom is matched against every fact of its
+    predicate, and the atom with the fewest matches goes first."""
+
+    def match(a, f, bind):
+        new = dict(bind)
+        for p, t in zip(a.args, f.args):
+            ok = new.setdefault(p, t) == t if isinstance(p, Variable) else p == t
+            if not ok:
+                return None
+        return new
+
+    def search(pending, bind):
+        if not pending:
+            yield bind
+            return
+        options = [[m for f in facts if f.predicate == a.predicate
+                    for m in [match(a, f, bind)] if m is not None]
+                   for a in pending]
+        i = min(range(len(pending)), key=lambda k: len(options[k]))
+        for ext in options[i]:
+            yield from search(pending[:i] + pending[i + 1:], ext)
+
+    yield from search(list(atoms), dict(binding or {}))
+
+
 def tgd_isomorphic(t1: TGD, t2: TGD) -> bool:
     """Equality modulo bijective variable renaming, respecting the
     body/head split (and thereby frontier and existentials)."""

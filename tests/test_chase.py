@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from helpers import SECTION41
@@ -5,8 +7,8 @@ from omq.chase import (chase_bounded, chase_nr, chase_step, find_triggers,
                        normalize_tgds, satisfies)
 from omq.classify import classify
 from omq.errors import InactiveTrigger, PreconditionViolated
-from omq.evaluate import certain_answers
-from omq.model import (OMQ, TGD, Constant, Database, Instance, Null,
+from omq.evaluate import certain_answers, evaluate_ucq, prepare
+from omq.model import (OMQ, TGD, Atom, Constant, Database, Instance, Null,
                        Variable, atom, tgds_schema)
 from omq.parser import parse_program
 from omq.testkit import GeneratorConfig, enumerate_databases, random_omq
@@ -192,6 +194,37 @@ def test_chase_nr_satisfies_random():
         for db in list(enumerate_databases(omq.data_schema, 2, 2))[:8]:
             res = chase_nr(db, omq.tgds)
             assert satisfies(res.instance, omq.tgds)[0], seed
+
+
+def _seeded_database(omq, rng, size):
+    preds = sorted(omq.data_schema.predicates)
+    consts = [Constant(f"c{i}") for i in range(3)]
+    return Database(Atom(p, tuple(rng.choice(consts) for _ in range(p.arity)))
+                    for p in (rng.choice(preds) for _ in range(size)))
+
+
+def test_chase_outputs_are_models_and_agree_with_rewriting():
+    """One pass over the strata leaves every tgd satisfied, so chase_nr
+    needs no second pass over the whole rule set."""
+    for seed in range(40):
+        cfg = GeneratorConfig(seed=seed, max_predicates=3, max_arity=2,
+                              max_tgds=4, target_class="NR",
+                              fact_tgds=seed % 4 == 0)
+        omq = random_omq(cfg)
+        by_rewriting = prepare(omq, strategy="rewriting")
+        rng = random.Random(seed)
+        for size in (0, 2, 4, 7):
+            db = _seeded_database(omq, rng, size)
+            res = chase_nr(db, omq.tgds)
+            assert satisfies(res.instance, omq.tgds)[0], seed
+            chased = evaluate_ucq(omq.query, res.instance)
+            assert chased == by_rewriting(db), seed
+            for level in range(4):
+                bounded = chase_bounded(db, omq.tgds, level)
+                assert bounded.complete == satisfies(bounded.instance,
+                                                     omq.tgds)[0], seed
+                if bounded.complete:
+                    assert evaluate_ucq(omq.query, bounded.instance) == chased
 
 
 def test_chase_monotone_in_database():

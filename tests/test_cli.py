@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import omq
 
 from helpers import SECTION41
 from omq.cli import main
@@ -183,3 +189,25 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 2
     code = main(["classify", str(tmp_path / "missing.omq")])
     assert code == 2
+
+def run_process(*argv, env_extra=None):
+    """The CLI in a fresh interpreter, as the ``omq`` script runs it."""
+    src = str(Path(omq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, **(env_extra or {}))
+    return subprocess.run([sys.executable, "-m", "omq.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_malformed_budget_env_exits_2(prog_path):
+    done = run_process("rewrite", prog_path, "q", env_extra={"OMQ_BUDGET": "abc"})
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: OMQ_BUDGET")
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("family", ["sticky-x", "sticky-", "sticky", "lin-3"])
+def test_malformed_family_exits_2(family):
+    done = run_process("gen", "--family", family)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: unknown family")
+    assert "Traceback" not in done.stderr
