@@ -17,40 +17,44 @@ from .contain import rewriting_contained, ucq_omq_to_cq_omq
 from .errors import EmptyBody, UnsupportedClass, ZeroAryAtom
 from .evaluate import prepare, ucq_evaluator
 from .model import CQ, OMQ, UCQ, Atom, Database
-from .rewrite import xrewrite
+from .rewrite import _xrewrite
 
 
 def components(atoms: Iterable[Atom]) -> list[frozenset[Atom]]:
     """The unique partition of an atom set into maximal connected parts,
-    where atoms connect through shared terms. 0-ary atoms are rejected."""
+    where atoms connect through shared terms, ordered by least atom.
+    0-ary atoms are rejected."""
+    out = [frozenset(g) for g in _connected_groups(atoms)]
+    out.sort(key=lambda g: min(a.sort_key() for a in g))
+    return out
+
+
+def _connected_groups(atoms: Iterable[Atom]) -> list[list[Atom]]:
+    """The parts of ``components``, unordered. The union-find runs over
+    terms only: each atom joins its args, and the atoms are then grouped by
+    the root of their first arg."""
     atoms = list(atoms)
-    for a in atoms:
-        if a.predicate.arity == 0:
-            raise ZeroAryAtom(f"component of 0-ary atom {a} is undefined")
     parent: dict = {}
 
     def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+        up = parent.setdefault(x, x)
+        while up is not x:  # a root is stored as its own parent
+            top = parent[x] = parent[up]  # path halving
+            x, up = top, parent[top]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
     for a in atoms:
-        parent.setdefault(a, a)
-        for t in a.args:
-            parent.setdefault(t, t)
-            union(a, t)
+        if not a.args:
+            raise ZeroAryAtom(f"component of 0-ary atom {a} is undefined")
+        first = find(a.args[0])
+        for t in a.args[1:]:
+            root = find(t)
+            if root is not first:
+                parent[root] = first
     groups: dict = {}
     for a in atoms:
-        groups.setdefault(find(a), set()).add(a)
-    out = [frozenset(g) for g in groups.values()]
-    out.sort(key=lambda g: min(a.sort_key() for a in g))
-    return out
+        groups.setdefault(find(a.args[0]), []).append(a)
+    return list(groups.values())
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,7 @@ def distributes(omq: OMQ, budget: Optional[int] = None) -> DistributionVerdict:
     if not classify(omq.tgds).ucq_rewritable:
         raise UnsupportedClass(
             "distribution is decided for linear/non-recursive/sticky sets only")
-    rewriting = xrewrite(omq, budget=budget)
+    rewriting = _xrewrite(omq, budget=budget)
     if not rewriting:
         return DistributionVerdict(True, unsatisfiable=True)
     if query.is_true_query():
@@ -114,7 +118,7 @@ def distributes(omq: OMQ, budget: Optional[int] = None) -> DistributionVerdict:
     for comp in parts.safe:
         # a query is contained in itself: a lone component needs no check
         if comp == query or rewriting_contained(
-                xrewrite(OMQ(omq.data_schema, omq.tgds, comp), budget=budget),
+                _xrewrite(OMQ(omq.data_schema, omq.tgds, comp), budget=budget),
                 whole).contained:
             return DistributionVerdict(True, witness=comp,
                                        unsafe_components=parts.unsafe)
@@ -126,16 +130,32 @@ def distribution_definitional_check(
         budget: Optional[int] = None) -> tuple[bool, Optional[Database]]:
     """Bounded check of the defining equation Q(D) = Q(D_1) u ... u Q(D_n)
     over every database within the enumeration bounds; returns the first
-    violating database, if any."""
+    violating database, if any.
+
+    A connected database is its own only component, so only the empty
+    database (whose union is over no components) and disconnected ones are
+    evaluated. Each distinct component is evaluated once per call."""
     from .testkit import enumerate_databases
 
     answers = prepare(omq, budget=budget)
+    by_component: dict[frozenset[Atom], frozenset] = {}
+
+    def component_answers(comp: frozenset[Atom]) -> frozenset:
+        found = by_component.get(comp)
+        if found is None:
+            found = by_component[comp] = answers(Database(comp))
+        return found
+
     for db in enumerate_databases(omq.data_schema, max_constants, max_atoms):
-        whole = answers(db)
-        union: set = set()
-        if db.atoms:
-            for comp in components(db.atoms):
-                union |= answers(Database(comp))
-        if whole != frozenset(union):
+        if not db.atoms:
+            if answers(db):
+                return False, db
+            continue
+        groups = _connected_groups(db.atoms)
+        if len(groups) == 1:
+            continue
+        union = frozenset().union(
+            *(component_answers(frozenset(g)) for g in groups))
+        if answers(db) != union:
             return False, db
     return True, None

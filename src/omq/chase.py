@@ -9,7 +9,7 @@ are reproducible run to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from . import homs
@@ -43,6 +43,9 @@ class ChaseResult:
     steps: int
     complete: bool
     level_of: Mapping[Atom, int]
+    # the fact index of ``instance`` the run kept, so that evaluation over
+    # the result need not build another; not part of the result's value
+    _index: Optional[dict] = field(default=None, repr=False, compare=False)
 
 
 def find_triggers(instance: Instance, tgd: TGD, tgd_index: int = 0,
@@ -143,7 +146,7 @@ def chase_nr(db: Database, tgds: Sequence[TGD]) -> ChaseResult:
         indexed = [(i, tgds[i]) for i in stratum]
         s, _ = _run_to_fixpoint(atoms, index, level_of, indexed, nulls, None)
         steps += s
-    return ChaseResult(Instance(atoms), steps, True, level_of)
+    return ChaseResult(Instance(atoms), steps, True, level_of, index)
 
 
 def chase_bounded(db: Database, tgds: Sequence[TGD], max_level: int) -> ChaseResult:
@@ -164,7 +167,7 @@ def chase_bounded(db: Database, tgds: Sequence[TGD], max_level: int) -> ChaseRes
                                 nulls, max_level)
     instance = Instance(atoms)
     complete, _ = satisfies(instance, tgds)
-    return ChaseResult(instance, steps, complete, level_of)
+    return ChaseResult(instance, steps, complete, level_of, index)
 
 
 def satisfies(instance: Instance, tgds: Sequence[TGD]) -> tuple[bool, Optional[Trigger]]:

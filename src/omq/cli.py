@@ -225,8 +225,9 @@ def cmd_gen(args) -> int:
         if prefix != "sticky" or not size.isdigit():
             raise OmqError(f"unknown family {args.family!r}; expected sticky-<n>")
         n = int(size)
-        omq = testkit.sticky_family(n)
+        # the witness caps n before the family builds n + 1 rules of arity n + 2
         databases = {"witness": testkit.sticky_family_witness(n)}
+        omq = testkit.sticky_family(n)
     else:
         cfg = testkit.GeneratorConfig(seed=args.seed,
                                       target_class=args.target_class)
@@ -307,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit fixture programs")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--family", default=None, help="e.g. sticky-3")
+    p.add_argument("--family", default=None,
+                   help="sticky-<n> for 2 <= n <= "
+                        f"{testkit.MAX_WITNESS_ARITY}, e.g. sticky-3")
     p.add_argument("--random", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--class", dest="target_class", default="any",

@@ -21,7 +21,7 @@ from .evaluate import prepare
 from .model import (CQ, OMQ, TGD, UCQ, Atom, Constant, Database, Predicate,
                     Schema, Substitution, Term, Variable, active_domain,
                     as_ucq, freeze_cq, sorted_atoms, tgds_schema)
-from .rewrite import witness_bound, xrewrite
+from .rewrite import _xrewrite, witness_bound
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def contains(q1: OMQ, q2: OMQ, budget: Optional[int] = None) -> ContainmentVerdi
     _check_compatible(q1, q2)
     _require_rewritable(q1, "left")
     _require_rewritable(q2, "right")
-    disjuncts = xrewrite(q1, budget=budget)
+    disjuncts = _xrewrite(q1, budget=budget)
     if not disjuncts:  # contained in anything; q2 need not be rewritten
         return ContainmentVerdict(True, None)
     return rewriting_contained(disjuncts, prepare(q2, budget=budget))
@@ -82,7 +82,7 @@ def is_unsatisfiable(omq: OMQ, budget: Optional[int] = None) -> bool:
     """No database over the data schema makes the query non-empty:
     equivalently, the rewriting keeps no disjunct over the data schema."""
     _require_rewritable(omq, "the")
-    return len(xrewrite(omq, budget=budget)) == 0
+    return len(_xrewrite(omq, budget=budget)) == 0
 
 
 # -- reductions between evaluation and containment ---------------------------

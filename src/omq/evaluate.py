@@ -12,7 +12,7 @@ from .classify import classify
 from .errors import SchemaMismatch, UnsupportedClass
 from .model import (CQ, OMQ, UCQ, Constant, Database, Instance, Variable,
                     as_ucq, sorted_atoms)
-from .rewrite import xrewrite
+from .rewrite import _xrewrite
 
 AnswerSet = frozenset  # of tuples of Constant
 
@@ -34,9 +34,13 @@ def evaluate_cq(q: CQ, instance: Instance, index: dict | None = None) -> AnswerS
     return frozenset(out)
 
 
-def evaluate_ucq(q: CQ | UCQ, instance: Instance) -> AnswerSet:
+def evaluate_ucq(q: CQ | UCQ, instance: Instance,
+                 index: dict | None = None) -> AnswerSet:
+    """The answers of the UCQ over the instance; a given ``index`` (see
+    ``homs.index_by_predicate``) stands in for the instance's facts."""
     ucq = as_ucq(q)
-    index = homs.index_by_predicate(instance.atoms)
+    if index is None:
+        index = homs.index_by_predicate(instance.atoms)
     out: set = set()
     for d in ucq.disjuncts:
         if d.is_boolean() and d.is_true_query():
@@ -66,12 +70,15 @@ def prepare(omq: OMQ, strategy: str = "auto",
     if strategy == "chase":
         if not report.non_recursive:
             raise UnsupportedClass("chase strategy needs a non-recursive rule set")
-        return lambda db: evaluate_ucq(omq.query, chase_nr(db, omq.tgds).instance)
+        def chase_answers(db: Database) -> AnswerSet:
+            result = chase_nr(db, omq.tgds)
+            return evaluate_ucq(omq.query, result.instance, result._index)
+        return chase_answers
     if strategy == "rewriting":
         if not report.ucq_rewritable:
             raise UnsupportedClass(
                 "rewriting strategy needs a linear/non-recursive/sticky rule set")
-        return ucq_evaluator(xrewrite(omq, budget=budget))
+        return ucq_evaluator(_xrewrite(omq, budget=budget))
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

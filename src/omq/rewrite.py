@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .chase import normalize_tgds
 from .classify import classify
-from .errors import BudgetExhausted, UnsupportedClass
+from .errors import BudgetExhausted, PreconditionViolated, UnsupportedClass
 from .model import (CQ, OMQ, TGD, Atom, Predicate, Substitution, Term,
                     Variable, as_ucq, atoms_variables, sorted_atoms,
                     tgds_schema)
@@ -388,18 +388,28 @@ def xrewrite(omq: OMQ, budget: Optional[int] = None,
     Returns the disjuncts in discovery order; the tuple is empty when no
     rewriting disjunct survives the data-schema filter (an unsatisfiable
     query). For linear, non-recursive and sticky rule sets the result
-    evaluated over any database equals the certain answers. Nothing is
-    memoized: a caller that needs one rewriting many times keeps it (see
-    ``evaluate.prepare``).
+    evaluated over any database equals the certain answers; for other rule
+    sets it warns that the rewriting may not terminate. The step ``budget``
+    must be at least 1. Nothing is memoized: a caller that needs one
+    rewriting many times keeps it (see ``evaluate.prepare``).
     """
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    report = classify(omq.tgds)
-    if not report.ucq_rewritable:
+    if not classify(omq.tgds).ucq_rewritable:
         warnings.warn(
             "rule set is none of linear/non-recursive/sticky; "
             "rewriting may not terminate before the step budget",
             stacklevel=2)
+    return _xrewrite(omq, budget, trace)
+
+
+def _xrewrite(omq: OMQ, budget: Optional[int] = None,
+              trace: Optional[Callable] = None) -> tuple[CQ, ...]:
+    """``xrewrite`` without the class check, for callers that classified
+    the rule set already."""
+    if budget is None:
+        budget = DEFAULT_BUDGET
+    if budget < 1:
+        raise PreconditionViolated(
+            f"the rewriting step budget must be at least 1, got {budget}")
     tgds = normalize_tgds(omq.tgds)
     s_preds = frozenset(omq.data_schema.predicates)
     out: list[CQ] = []

@@ -15,6 +15,7 @@ from .model import (CQ, OMQ, TGD, UCQ, Atom, Constant, Database, Predicate,
                     Schema, Variable)
 
 MAX_GROUND_ATOMS = 24
+MAX_WITNESS_ARITY = 16  # sticky_family_witness(n) has 2^n atoms
 
 
 def enumerate_databases(schema: Schema, max_constants: int,
@@ -23,8 +24,12 @@ def enumerate_databases(schema: Schema, max_constants: int,
     ``max_atoms`` atoms, each exactly once, smallest first, in a fixed order.
 
     Guarded against blowup: the ground-atom universe must stay at or below
-    24 atoms.
+    24 atoms. Negative bounds are rejected.
     """
+    if max_constants < 0 or max_atoms < 0:
+        raise PreconditionViolated(
+            f"enumeration bounds must be non-negative, got {max_constants} "
+            f"constants and {max_atoms} atoms")
     consts = [Constant(f"c{i + 1}") for i in range(max_constants)]
     ground: list[Atom] = []
     for p in schema:
@@ -80,7 +85,12 @@ def sticky_family(n: int) -> OMQ:
 
 def sticky_family_witness(n: int) -> Database:
     """A database satisfying the family query: every 0/1 pattern of the
-    data relation."""
+    data relation. It has 2^n atoms, so n is capped at
+    ``MAX_WITNESS_ARITY``."""
+    if n > MAX_WITNESS_ARITY:
+        raise PreconditionViolated(
+            f"the witness of sticky-{n} has 2^{n} atoms; n is capped at "
+            f"{MAX_WITNESS_ARITY}")
     s_pred = Predicate("S", n)
     zero, one = Constant("0"), Constant("1")
     atoms = [Atom(s_pred, tup)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import itertools
 
-from omq.model import (CQ, TGD, Atom, Constant, Instance, Predicate, Variable,
-                       active_domain)
+from omq.evaluate import prepare
+from omq.model import (CQ, TGD, Atom, Constant, Database, Instance, Predicate,
+                       Variable, active_domain)
 from omq.rewrite import cq_isomorphic
+from omq.testkit import enumerate_databases
 
 
 def naive_evaluate_cq(q: CQ, instance: Instance) -> frozenset:
@@ -53,6 +55,47 @@ def scan_homomorphisms(atoms, facts, binding=None):
             yield from search(pending[:i] + pending[i + 1:], ext)
 
     yield from search(list(atoms), dict(binding or {}))
+
+
+def union_find_components(atoms):
+    """The ``apps.components`` used before its term-only union-find: atoms
+    and terms are both nodes, and each atom joins each of its args."""
+    atoms = list(atoms)
+    parent: dict = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a in atoms:
+        parent.setdefault(a, a)
+        for t in a.args:
+            parent.setdefault(t, t)
+            rx, ry = find(a), find(t)
+            if rx != ry:
+                parent[rx] = ry
+    groups: dict = {}
+    for a in atoms:
+        groups.setdefault(find(a), set()).add(a)
+    out = [frozenset(g) for g in groups.values()]
+    out.sort(key=lambda g: min(a.sort_key() for a in g))
+    return out
+
+
+def eager_distribution_check(omq, max_constants, max_atoms, budget=None):
+    """The definitional distribution check before it skipped connected
+    databases and memoized components: Q(D) against the union of Q(D_i)
+    over every enumerated database, every component evaluated afresh."""
+    answers = prepare(omq, budget=budget)
+    for db in enumerate_databases(omq.data_schema, max_constants, max_atoms):
+        union: set = set()
+        for comp in union_find_components(db.atoms):
+            union |= answers(Database(comp))
+        if answers(db) != frozenset(union):
+            return False, db
+    return True, None
 
 
 def tgd_isomorphic(t1: TGD, t2: TGD) -> bool:

@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import eager_distribution_check, union_find_components
 from omq.apps import (components, cq_components, distributes,
                       distribution_definitional_check)
 from omq.errors import EmptyBody, UnsupportedClass, ZeroAryAtom
-from omq.model import (CQ, OMQ, TGD, UCQ, Constant, Predicate, Schema,
-                       Variable, atom)
+from omq.model import (CQ, OMQ, TGD, UCQ, Atom, Constant, Null, Predicate,
+                       Schema, Variable, atom)
+from omq.testkit import GeneratorConfig, random_omq
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 
@@ -33,6 +37,20 @@ def test_components_partition_property():
             terms_p = {t for at in p for t in at.args}
             terms_q = {t for at in q for t in at.args}
             assert not (terms_p & terms_q)
+
+
+ATOMS = st.lists(
+    st.sampled_from([Predicate("P", 1), Predicate("R", 2), Predicate("T", 3)])
+    .flatmap(lambda p: st.tuples(*[st.sampled_from(
+        [a, b, c, Constant("d"), x, y, Null(1)])] * p.arity)
+        .map(lambda args: Atom(p, args))),
+    max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ATOMS)
+def test_components_match_union_find_reference(atoms):
+    assert components(atoms) == union_find_components(atoms)
 
 
 def test_cq_components_boolean_split():
@@ -113,3 +131,21 @@ def test_distributes_unsupported_class():
                 CQ((), [atom("R", x, y)]))
     with pytest.raises(UnsupportedClass):
         distributes(trans)
+
+
+def test_definitional_check_matches_eager_reference():
+    """Same (holds, first violating database) as the loop that evaluates
+    every component of every database, on acceptance-9-style OMQs."""
+    classes = ("L", "NR", "S")
+    verdicts = []
+    for seed in range(1, 81):
+        cfg = GeneratorConfig(seed=seed, max_predicates=2, max_arity=2,
+                              max_tgds=2, max_query_atoms=4, max_query_vars=3,
+                              answer_arity=seed % 2,
+                              target_class=classes[seed % 3],
+                              connected_bodies=True)
+        omq = random_omq(cfg)
+        got = distribution_definitional_check(omq, 3, 3)
+        assert got == eager_distribution_check(omq, 3, 3), seed
+        verdicts.append(got[0])
+    assert verdicts.count(False) >= 2  # violating databases are compared too

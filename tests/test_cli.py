@@ -9,6 +9,7 @@ import pytest
 import omq
 
 from helpers import SECTION41
+from omq import testkit
 from omq.cli import main
 from omq.evaluate import eval_membership
 from omq.model import Constant
@@ -190,12 +191,13 @@ def test_error_exit_codes(tmp_path, capsys):
     code = main(["classify", str(tmp_path / "missing.omq")])
     assert code == 2
 
-def run_process(*argv, env_extra=None):
+def run_process(*argv, env_extra=None, timeout=60):
     """The CLI in a fresh interpreter, as the ``omq`` script runs it."""
     src = str(Path(omq.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src, **(env_extra or {}))
     return subprocess.run([sys.executable, "-m", "omq.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 def test_malformed_budget_env_exits_2(prog_path):
@@ -210,4 +212,37 @@ def test_malformed_family_exits_2(family):
     done = run_process("gen", "--family", family)
     assert done.returncode == 2
     assert done.stderr.startswith("error: unknown family")
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("contains", "{p}", "q", "q", "--oracle", "--max-atoms", "-1"),
+    ("contains", "{p}", "q", "q", "--oracle", "--max-constants", "-1"),
+    ("distributes", "{p}", "narrower", "--verify", "--max-atoms", "-1"),
+    ("distributes", "{p}", "narrower", "--verify", "--max-constants", "-2"),
+])
+def test_negative_enumeration_bound_exits_2(prog_path, argv):
+    done = run_process(*(a.format(p=prog_path) for a in argv))
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: enumeration bounds must be non-negative")
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_budget_below_one_exits_2(prog_path, budget):
+    for done in (run_process("rewrite", prog_path, "q", "--budget", budget),
+                 run_process("rewrite", prog_path, "q",
+                             env_extra={"OMQ_BUDGET": budget})):
+        assert done.returncode == 2
+        assert done.stderr.startswith(
+            "error: the rewriting step budget must be at least 1")
+        assert "Traceback" not in done.stderr
+
+
+def test_family_above_cap_exits_2_promptly():
+    n = testkit.MAX_WITNESS_ARITY + 1
+    # the 2^n witness is never built: a slow run times out and fails
+    done = run_process("gen", "--family", f"sticky-{n}", timeout=20)
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"error: the witness of sticky-{n}")
     assert "Traceback" not in done.stderr

@@ -4,8 +4,10 @@ import pytest
 
 from helpers import SECTION41, naive_evaluate_cq
 from omq.errors import SchemaMismatch, UnsupportedClass
+from omq import evaluate, rewrite
+from omq.classify import classify
 from omq.evaluate import (certain_answers, eval_membership, evaluate_cq,
-                          evaluate_ucq)
+                          evaluate_ucq, prepare)
 from omq.model import (CQ, OMQ, TGD, UCQ, Atom, Constant, Database, Instance,
                        Null, Predicate, Schema, Variable, atom)
 from omq.parser import parse_program
@@ -148,3 +150,18 @@ def test_nr_strategy_agreement_random():
         for db in list(enumerate_databases(omq.data_schema, 2, 3))[:12]:
             assert (certain_answers(omq, db, strategy="chase")
                     == certain_answers(omq, db, strategy="rewriting")), seed
+
+
+def test_prepare_classifies_once(monkeypatch):
+    calls = []
+
+    def counting(tgds):
+        calls.append(tgds)
+        return classify(tgds)
+
+    for module in (evaluate, rewrite):
+        monkeypatch.setattr(module, "classify", counting)
+    prepare(OMQ41)
+    assert len(calls) == 1
+    rewrite.xrewrite(OMQ41)  # the public entry keeps its own class check
+    assert len(calls) == 2

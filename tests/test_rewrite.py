@@ -2,7 +2,7 @@ import pytest
 
 from helpers import SECTION41, same_disjunct_sets
 from omq.chase import normalize_tgds
-from omq.errors import BudgetExhausted, UnsupportedClass
+from omq.errors import BudgetExhausted, PreconditionViolated, UnsupportedClass
 from omq.evaluate import certain_answers, evaluate_ucq
 from omq.model import (CQ, OMQ, TGD, UCQ, Constant, Database, Predicate,
                        Schema, Variable, atom)
@@ -170,6 +170,16 @@ def test_xrewrite_budget_exhausted():
     with pytest.raises(BudgetExhausted) as e:
         xrewrite(OMQ41, budget=1)
     assert isinstance(e.value.partial, tuple)
+    with pytest.raises(PreconditionViolated):
+        xrewrite(OMQ41, budget=0)
+
+
+def test_xrewrite_warns_outside_rewritable_classes():
+    trans = OMQ(Schema([Predicate("R", 2), Predicate("P", 1)]),
+                (TGD.of([atom("R", x, y), atom("R", y, z)], [atom("R", x, z)]),),
+                CQ((x,), [atom("P", x)]))
+    with pytest.warns(UserWarning, match="none of linear/non-recursive/sticky"):
+        assert len(xrewrite(trans)) == 1
 
 
 def test_xrewrite_true_disjunct_short_circuits():
