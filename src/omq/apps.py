@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .classify import classify
 from .contain import rewriting_contained, ucq_omq_to_cq_omq
-from .errors import EmptyBody, UnsupportedClass, ZeroAryAtom
+from .errors import EmptyBody, ZeroAryAtom
 from .evaluate import prepare, ucq_evaluator
 from .model import CQ, OMQ, UCQ, Atom, Database
-from .rewrite import _xrewrite
+from .rewrite import _xrewrite, require_rewritable
 
 
 def components(atoms: Iterable[Atom]) -> list[frozenset[Atom]]:
@@ -105,9 +104,7 @@ def distributes(omq: OMQ, budget: Optional[int] = None) -> DistributionVerdict:
     if isinstance(query, UCQ):
         query = query.disjuncts[0]
         omq = OMQ(omq.data_schema, omq.tgds, query)
-    if not classify(omq.tgds).ucq_rewritable:
-        raise UnsupportedClass(
-            "distribution is decided for linear/non-recursive/sticky sets only")
+    require_rewritable(omq)
     rewriting = _xrewrite(omq, budget=budget)
     if not rewriting:
         return DistributionVerdict(True, unsatisfiable=True)

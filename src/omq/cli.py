@@ -18,11 +18,11 @@ from typing import Optional
 from . import apps, contain, testkit
 from .chase import chase_bounded, chase_nr
 from .classify import classify
-from .errors import OmqError, ParseError
+from .errors import OmqError
 from .evaluate import certain_answers, eval_membership
 from .model import Atom, Constant, Database, OMQ, as_ucq
-from .parser import (format_instance, parse_program, render_database,
-                     render_query_clause, serialize_program)
+from .parser import (parse_program, render_database, render_query_clause,
+                     serialize_program)
 from .rewrite import DEFAULT_BUDGET, xrewrite
 
 VERSION = 1
@@ -101,7 +101,7 @@ def cmd_chase(args) -> int:
         result = chase_nr(db, program.tgds)
     else:
         result = chase_bounded(db, program.tgds, args.max_level)
-    text = format_instance(result.instance)
+    text = render_database("result", result.instance)
     payload = {"version": VERSION, "complete": result.complete,
                "steps": result.steps, "atoms": len(result.instance),
                "instance": text}
@@ -161,9 +161,12 @@ def cmd_contains(args) -> int:
         lines.append(render_database("counterexample", pub))
         lines.append("tuple: (" + ", ".join(c.name for c in pub_tup) + ")")
     if args.oracle:
-        bound = contain.witness_bound(q1).value
-        max_atoms = args.max_atoms or bound
-        max_constants = args.max_constants or _oracle_constants(q1, max_atoms)
+        max_atoms = args.max_atoms
+        if max_atoms is None:
+            max_atoms = contain.witness_bound(q1).value
+        max_constants = args.max_constants
+        if max_constants is None:
+            max_constants = _oracle_constants(q1, _budget(args))
         oracle = contain.brute_force_contains(
             q1, q2, max_constants, max_atoms, budget=_budget(args))
         payload["oracleAgrees"] = oracle.contained == verdict.contained
@@ -173,11 +176,10 @@ def cmd_contains(args) -> int:
     return 0 if verdict.contained else 1
 
 
-def _oracle_constants(q1: OMQ, max_atoms: int) -> int:
-    terms = 1
-    for d in xrewrite(q1):
-        terms = max(terms, len(d.variables()) + len(d.constants()))
-    return terms
+def _oracle_constants(q1: OMQ, budget: int) -> int:
+    """Enough constants to freeze the largest disjunct of q1's rewriting."""
+    return max((len(d.variables()) + len(d.constants())
+                for d in xrewrite(q1, budget=budget)), default=1)
 
 
 def cmd_distributes(args) -> int:
@@ -279,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("database")
     p.add_argument("--tuple", default=None, help="comma-separated constants")
     p.add_argument("--strategy", choices=("auto", "chase", "rewriting"),
-                   default="auto")
+                   default="auto",
+                   help="auto means rewriting, as every non-recursive rule "
+                        "set is also rewritable; chase needs a non-recursive set")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("contains", help="decide Q1 <= Q2")
@@ -324,13 +328,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OmqError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (OmqError, OSError) as e:  # a ParseError is an OmqError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

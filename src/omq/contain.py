@@ -15,13 +15,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .classify import classify
 from .errors import (PreconditionViolated, SchemaMismatch, UnsupportedClass)
-from .evaluate import prepare
+from .evaluate import prepare, ucq_evaluator
 from .model import (CQ, OMQ, TGD, UCQ, Atom, Constant, Database, Predicate,
                     Schema, Substitution, Term, Variable, active_domain,
                     as_ucq, freeze_cq, sorted_atoms, tgds_schema)
-from .rewrite import _xrewrite, witness_bound
+from .rewrite import _xrewrite, require_rewritable, witness_bound
 
 
 @dataclass(frozen=True)
@@ -39,12 +38,6 @@ def _check_compatible(q1: OMQ, q2: OMQ):
             f"answer arities differ: {q1.arity} vs {q2.arity}")
 
 
-def _require_rewritable(omq: OMQ, side: str):
-    if not classify(omq.tgds).ucq_rewritable:
-        raise UnsupportedClass(
-            f"{side} rule set is none of linear/non-recursive/sticky")
-
-
 def contains(q1: OMQ, q2: OMQ, budget: Optional[int] = None) -> ContainmentVerdict:
     """Does Q1(D) <= Q2(D) hold on every database over the shared schema?
 
@@ -53,12 +46,13 @@ def contains(q1: OMQ, q2: OMQ, budget: Optional[int] = None) -> ContainmentVerdi
     returned as a counterexample.
     """
     _check_compatible(q1, q2)
-    _require_rewritable(q1, "left")
-    _require_rewritable(q2, "right")
+    require_rewritable(q1)
+    require_rewritable(q2)
     disjuncts = _xrewrite(q1, budget=budget)
     if not disjuncts:  # contained in anything; q2 need not be rewritten
         return ContainmentVerdict(True, None)
-    return rewriting_contained(disjuncts, prepare(q2, budget=budget))
+    return rewriting_contained(disjuncts,
+                               ucq_evaluator(_xrewrite(q2, budget=budget)))
 
 
 def rewriting_contained(disjuncts: Iterable[CQ],
@@ -81,7 +75,7 @@ def equivalent(q1: OMQ, q2: OMQ, budget: Optional[int] = None) -> bool:
 def is_unsatisfiable(omq: OMQ, budget: Optional[int] = None) -> bool:
     """No database over the data schema makes the query non-empty:
     equivalently, the rewriting keeps no disjunct over the data schema."""
-    _require_rewritable(omq, "the")
+    require_rewritable(omq)
     return len(_xrewrite(omq, budget=budget)) == 0
 
 
@@ -325,10 +319,7 @@ def brute_force_contains(q1: OMQ, q2: OMQ, max_constants: int, max_atoms: int,
     from .testkit import enumerate_databases
 
     _check_compatible(q1, q2)
-    try:
-        exact = max_atoms >= witness_bound(q1).value
-    except UnsupportedClass:
-        exact = False
+    exact = max_atoms >= witness_bound(q1).value
     constant_free = (
         all(not t.constants() for t in itertools.chain(q1.tgds, q2.tgds))
         and all(not d.constants() for d in as_ucq(q1.query).disjuncts)

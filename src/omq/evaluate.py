@@ -12,7 +12,7 @@ from .classify import classify
 from .errors import SchemaMismatch, UnsupportedClass
 from .model import (CQ, OMQ, UCQ, Constant, Database, Instance, Variable,
                     as_ucq, sorted_atoms)
-from .rewrite import _xrewrite
+from .rewrite import _xrewrite, require_rewritable
 
 AnswerSet = frozenset  # of tuples of Constant
 
@@ -55,29 +55,18 @@ def prepare(omq: OMQ, strategy: str = "auto",
     rewritten, once. Use it to evaluate one OMQ over many databases.
 
     ``strategy`` is ``chase`` (requires a non-recursive rule set),
-    ``rewriting`` (requires linear, non-recursive or sticky), or ``auto``
-    (rewriting when available, otherwise chase).
+    ``rewriting`` (requires linear, non-recursive or sticky), or ``auto``,
+    which is rewriting: every non-recursive set is also rewritable.
     """
-    report = classify(omq.tgds)
-    if strategy == "auto":
-        if report.ucq_rewritable:
-            strategy = "rewriting"
-        elif report.non_recursive:
-            strategy = "chase"
-        else:
-            raise UnsupportedClass(
-                "rule set is none of linear/non-recursive/sticky")
     if strategy == "chase":
-        if not report.non_recursive:
+        if not classify(omq.tgds).non_recursive:
             raise UnsupportedClass("chase strategy needs a non-recursive rule set")
         def chase_answers(db: Database) -> AnswerSet:
             result = chase_nr(db, omq.tgds)
             return evaluate_ucq(omq.query, result.instance, result._index)
         return chase_answers
-    if strategy == "rewriting":
-        if not report.ucq_rewritable:
-            raise UnsupportedClass(
-                "rewriting strategy needs a linear/non-recursive/sticky rule set")
+    if strategy in ("auto", "rewriting"):
+        require_rewritable(omq)
         return ucq_evaluator(_xrewrite(omq, budget=budget))
     raise ValueError(f"unknown strategy {strategy!r}")
 

@@ -393,18 +393,10 @@ def render_query_clause(name: str, cq: CQ) -> str:
     return f"query {name}({head}) :- {body}."
 
 
-def render_database(name: str, db: Database) -> str:
+def render_database(name: str, db: Database | Instance) -> str:
+    """A database block; an instance's nulls print as ``_:n``."""
     lines = [f"database {name} {{"]
     for a in sorted_atoms(db.atoms):
-        lines.append(f"  {_render_atom(a, {})}.")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def format_instance(i: Instance, name: str = "result") -> str:
-    """Render an instance like a database block; nulls print as ``_:n``."""
-    lines = [f"database {name} {{"]
-    for a in sorted_atoms(i.atoms):
         lines.append(f"  {_render_atom(a, {})}.")
     lines.append("}")
     return "\n".join(lines)

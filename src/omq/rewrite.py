@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .chase import normalize_tgds
-from .classify import classify
+from .classify import ClassReport, classify
 from .errors import BudgetExhausted, PreconditionViolated, UnsupportedClass
 from .model import (CQ, OMQ, TGD, Atom, Predicate, Substitution, Term,
                     Variable, as_ucq, atoms_variables, sorted_atoms,
@@ -103,11 +103,25 @@ def _shared_variables(q: CQ) -> set[Variable]:
     return shared
 
 
+def _head_apart(t: TGD) -> Atom:
+    """The head of a normal-form tgd renamed apart from queries, cached on
+    the tgd: query variables end in no ``#`` or in ``#`` and a step."""
+    cached = getattr(t, "_head_apart", None)
+    if cached is None:  # TGD.rename would rebuild and re-check the whole tgd
+        (head,) = t.head
+        cached = Atom(head.predicate, tuple(
+            Variable(a.name + RENAME_SEP) if isinstance(a, Variable) else a
+            for a in head.args))
+        object.__setattr__(t, "_head_apart", cached)
+    return cached
+
+
 def is_applicable(t: TGD, S: Iterable[Atom], q: CQ) -> bool:
     """May the atoms of S have been produced by applying ``t`` in a chase?
 
-    (1) S together with the head unifies, and (2) no constant or shared
-    variable of q sits at the existential position of ``t``.
+    (1) S together with the head, renamed apart from q as in
+    ``rewrite_step``, unifies, and (2) no constant or shared variable of q
+    sits at the existential position of ``t``.
     """
     S = list(S)
     if not S:
@@ -115,7 +129,7 @@ def is_applicable(t: TGD, S: Iterable[Atom], q: CQ) -> bool:
     (head,) = t.head
     if any(a.predicate != head.predicate for a in S):
         return False
-    if mgu(S + [head]) is None:
+    if mgu(S + [_head_apart(t)]) is None:
         return False
     pi = _position_of_existential(t)
     if pi is None:
@@ -292,27 +306,18 @@ def cq_isomorphic(q1: CQ, q2: CQ) -> bool:
 # -- the rewriting procedure ---------------------------------------------------
 
 
-@dataclass
-class _Entry:
-    cq: CQ
-    label: str  # 'r' | 'f'
-    explored: bool
-
-
 class _Dedup:
-    """Signature-bucketed lookup of isomorphic entries."""
+    """Signature-bucketed lookup of isomorphic (query, label) entries."""
 
     def __init__(self):
         self.buckets: dict = {}
 
-    def add(self, entry: _Entry):
-        self.buckets.setdefault(cq_signature(entry.cq), []).append(entry)
+    def add(self, q: CQ, label: str):
+        self.buckets.setdefault(cq_signature(q), []).append((q, label))
 
-    def find(self, q: CQ, labels: tuple[str, ...]) -> Optional[_Entry]:
-        for e in self.buckets.get(cq_signature(q), ()):
-            if e.label in labels and cq_isomorphic(q, e.cq):
-                return e
-        return None
+    def has(self, q: CQ, labels: tuple[str, ...]) -> bool:
+        return any(label in labels and cq_isomorphic(q, e)
+                   for e, label in self.buckets.get(cq_signature(q), ()))
 
 
 def _predicate_subsets(q: CQ, head_pred: Predicate, smallest: int):
@@ -323,62 +328,64 @@ def _predicate_subsets(q: CQ, head_pred: Predicate, smallest: int):
         yield from itertools.combinations(pool, size)
 
 
+def _step_subsets(q: CQ, t: TGD):
+    """The subsets of q that ``t`` may resolve, then those it may
+    factorize, each with its kind of step."""
+    (head,) = t.head
+    for S in _predicate_subsets(q, head.predicate, 1):
+        if is_applicable(t, S, q):
+            yield "rewrite", S
+    for S in _predicate_subsets(q, head.predicate, 2):
+        if is_factorizable(S, t, q):
+            yield "factorize", S
+
+
 def _xrewrite_cq(q0: CQ, tgds: Sequence[TGD], s_preds: frozenset[Predicate],
-                 budget: int, trace: Optional[Callable]) -> tuple[list[CQ], int]:
-    entries: list[_Entry] = []
+                 budget: int, trace: Optional[Callable]) -> list[CQ]:
+    """The rewritings of q0 over the data schema: the breadth-first closure
+    under steps, where a rewriting is new unless it repeats a rewriting and
+    a factorization unless it repeats either."""
+    entries: list[tuple[CQ, str]] = [(q0, "rewrite")]  # (query, kind of step)
     dedup = _Dedup()
+    dedup.add(q0, "rewrite")
     steps = 0
     rename_counter = itertools.count(1)
-
-    def push(q: CQ, label: str):
-        e = _Entry(q, label, False)
-        entries.append(e)
-        dedup.add(e)
-
-    push(q0, "r")
-    frontier = 0
-    while frontier < len(entries):
-        entry = entries[frontier]
-        frontier += 1
-        q = entry.cq
+    for q, _ in entries:  # entries grows while it is walked
         for t in tgds:
-            (head,) = t.head
-            # rewriting step
-            for S in _predicate_subsets(q, head.predicate, 1):
-                if not is_applicable(t, S, q):
-                    continue
+            for kind, S in _step_subsets(q, t):
                 steps += 1
                 if steps > budget:
                     raise BudgetExhausted(
                         f"rewriting exceeded {budget} steps",
-                        partial=[e.cq for e in entries if e.label == "r"])
-                produced = rewrite_step(q, S, t, next(rename_counter))
-                if dedup.find(produced, ("r",)) is None:
-                    push(produced, "r")
-                    if trace:
-                        trace({"kind": "rewrite", "query": str(q),
-                               "subset": [str(a) for a in sorted_atoms(S)],
-                               "tgd": str(t), "result": str(produced)})
-            # factorization step
-            for S in _predicate_subsets(q, head.predicate, 2):
-                if not is_factorizable(S, t, q):
+                        partial=[e for e, k in entries if k == "rewrite"])
+                if kind == "rewrite":
+                    produced = rewrite_step(q, S, t, next(rename_counter))
+                    repeats = ("rewrite",)
+                else:
+                    produced = factorize_step(q, S)
+                    repeats = ("rewrite", "factorize")
+                if dedup.has(produced, repeats):
                     continue
-                steps += 1
-                if steps > budget:
-                    raise BudgetExhausted(
-                        f"rewriting exceeded {budget} steps",
-                        partial=[e.cq for e in entries if e.label == "r"])
-                produced = factorize_step(q, S)
-                if dedup.find(produced, ("r", "f")) is None:
-                    push(produced, "f")
-                    if trace:
-                        trace({"kind": "factorize", "query": str(q),
-                               "subset": [str(a) for a in sorted_atoms(S)],
-                               "tgd": str(t), "result": str(produced)})
-        entry.explored = True
-    final = [e.cq for e in entries
-             if e.label == "r" and e.cq.predicates() <= s_preds]
-    return final, steps
+                entries.append((produced, kind))
+                dedup.add(produced, kind)
+                if trace:
+                    trace({"kind": kind, "query": str(q),
+                           "subset": [str(a) for a in sorted_atoms(S)],
+                           "tgd": str(t), "result": str(produced)})
+    return [q for q, kind in entries
+            if kind == "rewrite" and q.predicates() <= s_preds]
+
+
+def require_rewritable(omq: OMQ) -> ClassReport:
+    """The class report of the OMQ's rule set, which must be linear,
+    non-recursive or sticky: the classes with UCQ rewritings, on which
+    evaluation, containment, unsatisfiability and distribution are decided.
+    Raises ``UnsupportedClass`` otherwise."""
+    report = classify(omq.tgds)
+    if not report.ucq_rewritable:
+        raise UnsupportedClass(
+            "rule set is none of linear/non-recursive/sticky")
+    return report
 
 
 def xrewrite(omq: OMQ, budget: Optional[int] = None,
@@ -403,8 +410,8 @@ def xrewrite(omq: OMQ, budget: Optional[int] = None,
 
 def _xrewrite(omq: OMQ, budget: Optional[int] = None,
               trace: Optional[Callable] = None) -> tuple[CQ, ...]:
-    """``xrewrite`` without the class check, for callers that classified
-    the rule set already."""
+    """``xrewrite`` without the class check, for callers that passed
+    ``require_rewritable`` already."""
     if budget is None:
         budget = DEFAULT_BUDGET
     if budget < 1:
@@ -415,14 +422,12 @@ def _xrewrite(omq: OMQ, budget: Optional[int] = None,
     out: list[CQ] = []
     seen = _Dedup()
     for disjunct in as_ucq(omq.query).disjuncts:
-        finals, _ = _xrewrite_cq(disjunct, tgds, s_preds, budget, trace)
-        for q in finals:
+        for q in _xrewrite_cq(disjunct, tgds, s_preds, budget, trace):
             if q.is_boolean() and q.is_true_query():
                 # the always-true disjunct subsumes everything
                 return (q,)
-            if seen.find(q, ("r",)) is None:
-                e = _Entry(q, "r", True)
-                seen.add(e)
+            if not seen.has(q, ("rewrite",)):
+                seen.add(q, "rewrite")
                 out.append(q)
     return tuple(out)
 
@@ -439,7 +444,7 @@ class WitnessBound:
 def witness_bound(omq: OMQ) -> WitnessBound:
     """Atom-count bound on databases witnessing non-containment with this
     query on the left; the tightest applicable class formula wins."""
-    report = classify(omq.tgds)
+    report = require_rewritable(omq)
     ucq = as_ucq(omq.query)
     q_atoms = max(len(d.body) for d in ucq.disjuncts)
     candidates: list[tuple[int, str]] = []
@@ -462,8 +467,5 @@ def witness_bound(omq: OMQ) -> WitnessBound:
         candidates.append(
             (max(1, len(omq.data_schema)
                  * (len(terms) + len(consts_sigma) + 1) ** ar), "sticky"))
-    if not candidates:
-        raise UnsupportedClass(
-            "witness bounds exist only for linear/non-recursive/sticky sets")
     value, formula = min(candidates)
     return WitnessBound(value, formula)

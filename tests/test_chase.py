@@ -8,8 +8,8 @@ from omq.chase import (chase_bounded, chase_nr, chase_step, find_triggers,
 from omq.classify import classify
 from omq.errors import InactiveTrigger, PreconditionViolated
 from omq.evaluate import certain_answers, evaluate_ucq, prepare
-from omq.model import (OMQ, TGD, Atom, Constant, Database, Instance, Null,
-                       Variable, atom, tgds_schema)
+from omq.model import (CQ, OMQ, TGD, Atom, Constant, Database, Instance,
+                       Null, Variable, atom, tgds_schema)
 from omq.parser import parse_program
 from omq.testkit import GeneratorConfig, enumerate_databases, random_omq
 
@@ -203,14 +203,44 @@ def _seeded_database(omq, rng, size):
                     for p in (rng.choice(preds) for _ in range(size)))
 
 
+def _crossed_constants(omq, rng):
+    """The OMQ with a constant at one position of one binary full rule
+    head, and one more query atom that meets that head with the constant
+    and the variable crossed: head R(v, c0) gets query atom R(c1, v).
+    Resolving the two is only possible when the rule's v is kept apart from
+    the query's v. The generator draws rule and query variables from one
+    pool, so v often joins the rest of the query too. None when the OMQ
+    has no such rule."""
+    rules = [t for t in omq.tgds
+             if not t.exist_vars and [a.predicate.arity for a in t.head] == [2]]
+    if not rules:
+        return None
+    t, k = rng.choice(rules), rng.randrange(2)
+    (head,) = t.head
+    v = head.args[k]
+    c_rule, c_query = rng.sample([Constant(f"c{i}") for i in range(3)], 2)
+    crossed_head = (v, c_rule) if k == 0 else (c_rule, v)
+    crossed_atom = (c_query, v) if k == 0 else (v, c_query)
+    tgds = [TGD(t.body, [Atom(head.predicate, crossed_head)]) if r is t else r
+            for r in omq.tgds]
+    query = omq.ucq.disjuncts[0]
+    body = query.body | {Atom(head.predicate, crossed_atom)}
+    return OMQ(omq.data_schema, tuple(tgds), CQ(query.answers, body))
+
+
 def test_chase_outputs_are_models_and_agree_with_rewriting():
     """One pass over the strata leaves every tgd satisfied, so chase_nr
-    needs no second pass over the whole rule set."""
+    needs no second pass over the whole rule set. Each seed's OMQ is also
+    checked with crossed constants, where it has a binary full rule."""
+    omqs = []
     for seed in range(40):
         cfg = GeneratorConfig(seed=seed, max_predicates=3, max_arity=2,
                               max_tgds=4, target_class="NR",
                               fact_tgds=seed % 4 == 0)
         omq = random_omq(cfg)
+        crossed = _crossed_constants(omq, random.Random(-seed))
+        omqs += [(seed, o) for o in (omq, crossed) if o is not None]
+    for seed, omq in omqs:
         by_rewriting = prepare(omq, strategy="rewriting")
         rng = random.Random(seed)
         for size in (0, 2, 4, 7):

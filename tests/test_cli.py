@@ -191,11 +191,13 @@ def test_error_exit_codes(tmp_path, capsys):
     code = main(["classify", str(tmp_path / "missing.omq")])
     assert code == 2
 
-def run_process(*argv, env_extra=None, timeout=60):
-    """The CLI in a fresh interpreter, as the ``omq`` script runs it."""
+def run_process(*argv, env_extra=None, timeout=60, code=None):
+    """The CLI in a fresh interpreter, as the ``omq`` script runs it; with
+    ``code``, that code runs instead and must end by calling ``main``."""
     src = str(Path(omq.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src, **(env_extra or {}))
-    return subprocess.run([sys.executable, "-m", "omq.cli", *argv],
+    launch = ["-m", "omq.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *launch, *argv],
                           capture_output=True, text=True, env=env,
                           timeout=timeout)
 
@@ -246,3 +248,29 @@ def test_family_above_cap_exits_2_promptly():
     assert done.returncode == 2
     assert done.stderr.startswith(f"error: the witness of sticky-{n}")
     assert "Traceback" not in done.stderr
+
+
+def test_oracle_rewrites_under_the_given_budget(prog_path):
+    """--budget and OMQ_BUDGET also bound the oracle's rewriting of q1:
+    with the library default lowered below the steps q1 needs, they alone
+    let the oracle finish."""
+    lowered = ("import sys, omq.rewrite; omq.rewrite.DEFAULT_BUDGET = 1; "
+               "from omq.cli import main; sys.exit(main())")
+    argv = ("contains", prog_path, "q", "r", "--oracle")
+    for done in (run_process(*argv, "--budget", "1000", code=lowered),
+                 run_process(*argv, env_extra={"OMQ_BUDGET": "1000"},
+                             code=lowered)):
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["oracleAgrees"]
+
+
+@pytest.mark.parametrize("bound", ["--max-atoms", "--max-constants"])
+def test_oracle_keeps_explicit_zero_bounds(plain_path, bound):
+    """A zero bound enumerates the empty database only, so the oracle
+    misses the counterexample that the decision finds."""
+    done = run_process("contains", plain_path, "r", "narrower", "--oracle",
+                       bound, "0")
+    assert done.returncode == 1, done.stderr
+    payload = json.loads(done.stdout)
+    assert not payload["contained"] and not payload["oracleAgrees"]
+    assert payload["oracleExact"] == (bound == "--max-constants")

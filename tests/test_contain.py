@@ -188,6 +188,11 @@ def test_is_unsatisfiable_examples():
                   (TGD.of([atom("P", x)], [atom("G", x)]),),
                   CQ((), [atom("G", x)]))
     assert not is_unsatisfiable(derived)
+    # R(x, b) is derived from P(a); the query's x is not the rule's x
+    named_alike = OMQ(Schema([Predicate("P", 1)]),
+                      (TGD.of([atom("P", x)], [atom("R", x, b)]),),
+                      CQ((), [atom("R", a, x)]))
+    assert not is_unsatisfiable(named_alike)
 
 
 def test_containment_transitive_on_samples():

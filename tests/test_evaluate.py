@@ -4,7 +4,7 @@ import pytest
 
 from helpers import SECTION41, naive_evaluate_cq
 from omq.errors import SchemaMismatch, UnsupportedClass
-from omq import evaluate, rewrite
+from omq import apps, contain, evaluate, rewrite
 from omq.classify import classify
 from omq.evaluate import (certain_answers, eval_membership, evaluate_cq,
                           evaluate_ucq, prepare)
@@ -63,6 +63,11 @@ def test_certain_answers_strategies_agree():
     db = Database({atom("A", a)})
     assert certain_answers(omq, db, strategy="chase") == {()}
     assert certain_answers(omq, db, strategy="rewriting") == {()}
+    # a query variable named like a rule variable, next to constants
+    clash = OMQ(schema, (TGD.of([atom("A", x)], [atom("R", x, b)]),),
+                CQ((), [atom("R", a, x)]))
+    for strategy in ("chase", "rewriting", "auto"):
+        assert certain_answers(clash, db, strategy=strategy) == {()}
 
 
 def test_certain_answers_unsupported():
@@ -153,15 +158,27 @@ def test_nr_strategy_agreement_random():
 
 
 def test_prepare_classifies_once(monkeypatch):
+    """Each decision classifies every rule set it is given exactly once."""
     calls = []
 
     def counting(tgds):
         calls.append(tgds)
         return classify(tgds)
 
-    for module in (evaluate, rewrite):
-        monkeypatch.setattr(module, "classify", counting)
+    # also where classify is not imported, so that a new import is counted
+    for module in (evaluate, rewrite, contain, apps):
+        monkeypatch.setattr(module, "classify", counting, raising=False)
     prepare(OMQ41)
     assert len(calls) == 1
     rewrite.xrewrite(OMQ41)  # the public entry keeps its own class check
     assert len(calls) == 2
+    calls.clear()
+    plain = OMQ(OMQ41.data_schema, (), CQ((x,), [atom("P", x)]))
+    assert contain.contains(plain, OMQ41).contained  # right side rewritten
+    assert calls == [plain.tgds, OMQ41.tgds]
+    calls.clear()
+    assert not contain.is_unsatisfiable(OMQ41)
+    assert calls == [OMQ41.tgds]
+    calls.clear()
+    apps.distributes(OMQ41)
+    assert calls == [OMQ41.tgds]

@@ -76,6 +76,10 @@ def test_applicability_constant_at_existential_position():
     assert not is_applicable(sigma, [atom("R", x, a)], q)
     q2 = CQ((), [atom("R", a, x)])
     assert is_applicable(sigma, [atom("R", a, x)], q2)
+    # the head is renamed apart before unifying: the x of the rule is not
+    # the x of the query, so R(a, x) meets R(x, b) without a clash
+    full = TGD.of([atom("P", x)], [atom("R", x, b)])
+    assert is_applicable(full, [atom("R", a, x)], q2)
 
 
 def test_factorizability_examples():
