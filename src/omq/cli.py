@@ -42,7 +42,12 @@ def _budget(args) -> int:
 
 def _load(args):
     with open(args.program, "r", encoding="utf-8") as fh:
-        return parse_program(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise OmqError(f"{args.program}: not UTF-8 ({e.reason} at byte "
+                           f"{e.start})") from None
+    return parse_program(text)
 
 
 def _pick_query(program, name: str) -> OMQ:

@@ -17,7 +17,8 @@ from .rewrite import _xrewrite, require_rewritable
 AnswerSet = frozenset  # of tuples of Constant
 
 
-def evaluate_cq(q: CQ, instance: Instance, index: dict | None = None) -> AnswerSet:
+def evaluate_cq(q: CQ, instance: Instance | Database,
+                index: dict | None = None) -> AnswerSet:
     """All constant tuples h(answers) over homomorphisms h from the body.
 
     Nulls may serve as images of existential variables, but any answer
@@ -34,10 +35,10 @@ def evaluate_cq(q: CQ, instance: Instance, index: dict | None = None) -> AnswerS
     return frozenset(out)
 
 
-def evaluate_ucq(q: CQ | UCQ, instance: Instance,
+def evaluate_ucq(q: CQ | UCQ, instance: Instance | Database,
                  index: dict | None = None) -> AnswerSet:
-    """The answers of the UCQ over the instance; a given ``index`` (see
-    ``homs.index_by_predicate``) stands in for the instance's facts."""
+    """The answers of the UCQ over the instance or database; a given
+    ``index`` (see ``homs.index_by_predicate``) stands in for its facts."""
     ucq = as_ucq(q)
     if index is None:
         index = homs.index_by_predicate(instance.atoms)
@@ -77,7 +78,7 @@ def ucq_evaluator(disjuncts: Sequence[CQ]) -> Callable[[Database], AnswerSet]:
     if not disjuncts:
         return lambda db: frozenset()
     ucq = UCQ(disjuncts)
-    return lambda db: evaluate_ucq(ucq, db.as_instance())
+    return lambda db: evaluate_ucq(ucq, db)
 
 
 def certain_answers(omq: OMQ, db: Database, strategy: str = "auto",

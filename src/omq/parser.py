@@ -17,13 +17,16 @@ variable when it starts with an uppercase letter or matches ``[u-z][0-9]*``
 are constants. Predicates not declared in a schema block are inferred from
 use; the declared block alone is the data schema. Names beginning with
 ``$`` or ``_`` are reserved (frozen constants, labeled nulls).
+
+Program files are read as UTF-8. An error's position is the ``line:column``
+of the offending token, or of the end of input for a truncated program.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import (ArityError, ModelError, ProgramSyntaxError,
                      ReservedNameError, SafetyError)
@@ -35,7 +38,10 @@ KEYWORDS = {"schema", "tgds", "query", "database", "exists", "true"}
 _VARIABLE_RE = re.compile(r"[u-z][0-9]*\Z")
 _IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 _NUMBER_RE = re.compile(r"[0-9]+")
-_SYMBOLS = ("->", ":-", ".", ",", "(", ")", "{", "}", "/")
+# One token per match, its kind the group name; only "\n" starts a line.
+_TOKEN_RE = re.compile(
+    r"(?P<newline>\n)|(?P<skip>[^\S\n]+|%[^\n]*)|(?P<symbol>->|:-|[.,(){}/])"
+    rf"|(?P<number>{_NUMBER_RE.pattern})|(?P<ident>{_IDENT_RE.pattern})")
 
 
 def is_variable_token(tok: str) -> bool:
@@ -51,8 +57,7 @@ def is_constant_name(name: str) -> bool:
     return bool(_IDENT_RE.fullmatch(name)) and not is_variable_token(name)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'ident' | 'number' | 'symbol' | 'eof'
     value: str
     line: int
@@ -61,48 +66,18 @@ class Token:
 
 def _tokenize(text: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        two = text[i:i + 2]
-        if two in ("->", ":-"):
-            tokens.append(Token("symbol", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if c in ".,(){}/":
-            tokens.append(Token("symbol", c, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(Token("number", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(Token("ident", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        raise ProgramSyntaxError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    line, line_start, pos = 1, 0, 0
+    while m := _TOKEN_RE.match(text, pos):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind != "skip":
+            tokens.append(Token(kind, m.group(), line, pos - line_start + 1))
+        pos = m.end()
+    if pos < len(text):
+        raise ProgramSyntaxError(f"unexpected character {text[pos]!r}",
+                                 line, pos - line_start + 1)
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -143,6 +118,13 @@ class _Parser:
         self.pos += 1
         return t
 
+    def accept(self, value: str) -> bool:
+        """Consume the next token when it is ``value``."""
+        if self.peek().value == value:
+            self.pos += 1
+            return True
+        return False
+
     def expect(self, value: str) -> Token:
         t = self.next()
         if t.value != value:
@@ -157,112 +139,95 @@ class _Parser:
                                      t.line, t.col)
         return t
 
+    def until(self, close: str, item: Callable) -> list:
+        """Items up to ``close``, which is consumed; a comma may follow each."""
+        items = []
+        while not self.accept(close):
+            items.append(item())
+            self.accept(",")
+        return items
+
+    def separated(self, item: Callable) -> list:
+        """One or more comma-separated items."""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        return items
+
     # -- grammar -----------------------------------------------------------
 
     def program(self) -> Program:
-        while True:
-            t = self.peek()
-            if t.kind == "eof":
-                break
-            if t.value == "schema":
-                self.schema_block()
-            elif t.value == "tgds":
-                self.tgds_block()
-            elif t.value == "query":
-                self.query_clause()
-            elif t.value == "database":
-                self.database_block()
-            else:
+        blocks = {"schema": self.schema_block, "tgds": self.tgds_block,
+                  "query": self.query_clause, "database": self.database_block}
+        while (t := self.next()).kind != "eof":
+            if t.value not in blocks:
                 raise ProgramSyntaxError(
                     f"expected a block, found {t.value!r}", t.line, t.col)
-        queries = {name: UCQ(cqs) for name, cqs in self.queries.items()}
-        databases = {}
-        for name, atoms in self.databases.items():
-            databases[name] = Database(atoms)
+            blocks[t.value]()
         return Program(
             schema=Schema(self.declared.values()),
             tgds=tuple(self.tgds),
-            queries=queries,
-            databases=databases,
+            queries={name: UCQ(cqs) for name, cqs in self.queries.items()},
+            databases={name: Database(atoms)
+                       for name, atoms in self.databases.items()},
             inferred=Schema(self.inferred.values()),
         )
 
     def schema_block(self):
-        self.expect("schema")
         self.expect("{")
-        while self.peek().value != "}":
-            name = self.expect_name()
-            self.check_reserved(name)
-            self.expect("/")
-            arity_tok = self.next()
-            if arity_tok.kind != "number":
-                raise ProgramSyntaxError("expected an arity",
-                                         arity_tok.line, arity_tok.col)
-            pred = Predicate(name.value, int(arity_tok.value))
-            known = self.declared.get(name.value) or self.inferred.get(name.value)
-            if known is not None and known != pred:
-                raise ArityError(
-                    f"{name.value} redeclared with arity {pred.arity}, "
-                    f"was {known.arity}", name.line, name.col)
-            self.declared[name.value] = pred
-            if self.peek().value == ",":
-                self.next()
-        self.expect("}")
+        self.until("}", self.declaration)
+
+    def declaration(self):
+        name = self.expect_name()
+        self.check_reserved(name)
+        self.expect("/")
+        arity_tok = self.next()
+        if arity_tok.kind != "number":
+            raise ProgramSyntaxError("expected an arity",
+                                     arity_tok.line, arity_tok.col)
+        pred = Predicate(name.value, int(arity_tok.value))
+        known = self.declared.get(name.value) or self.inferred.get(name.value)
+        if known is not None and known != pred:
+            raise ArityError(
+                f"{name.value} redeclared with arity {pred.arity}, "
+                f"was {known.arity}", name.line, name.col)
+        self.declared[name.value] = pred
 
     def tgds_block(self):
-        self.expect("tgds")
         self.expect_name()  # block name is cosmetic
         self.expect("{")
-        while self.peek().value != "}":
+        while not self.accept("}"):
             self.tgd()
-        self.expect("}")
 
     def tgd(self):
         start = self.peek()
-        if self.peek().value == "true":
-            self.next()
-            body: list[Atom] = []
-        else:
-            body = self.atom_list()
+        body = self.body()
         self.expect("->")
         exist_vars: list[Variable] = []
-        if self.peek().value == "exists":
-            self.next()
-            while True:
-                t = self.next()
-                if not (t.kind == "ident" and is_variable_token(t.value)):
-                    raise ProgramSyntaxError(
-                        f"expected a variable after 'exists', found {t.value!r}",
-                        t.line, t.col)
-                exist_vars.append(Variable(t.value))
-                if self.peek().value == ",":
-                    self.next()
-                else:
-                    break
+        if self.accept("exists"):
+            exist_vars = self.separated(self.exist_var)
             self.expect(".")
-        head = self.atom_list()
+        head = self.separated(self.atom)
         self.expect(".")
         try:
             self.tgds.append(TGD(body, head, exist_vars))
         except ModelError as e:
             raise SafetyError(str(e), start.line, start.col) from e
 
+    def exist_var(self) -> Variable:
+        t = self.next()
+        if not (t.kind == "ident" and is_variable_token(t.value)):
+            raise ProgramSyntaxError(
+                f"expected a variable after 'exists', found {t.value!r}",
+                t.line, t.col)
+        return Variable(t.value)
+
     def query_clause(self):
-        self.expect("query")
         name = self.expect_name()
         self.expect("(")
-        answers: list[Term] = []
-        while self.peek().value != ")":
-            answers.append(self.term(self.next()))
-            if self.peek().value == ",":
-                self.next()
-        self.expect(")")
+        answers = self.until(")", self.term)
         self.expect(":-")
-        if self.peek().value == "true":
-            self.next()
-            body: list[Atom] = []
-        else:
-            body = self.atom_list()
+        body = self.body()
         self.expect(".")
         try:
             cq = CQ(answers, body)
@@ -276,11 +241,10 @@ class _Parser:
         clauses.append(cq)
 
     def database_block(self):
-        self.expect("database")
         name = self.expect_name()
         self.expect("{")
         atoms = self.databases.setdefault(name.value, [])
-        while self.peek().value != "}":
+        while not self.accept("}"):
             start = self.peek()
             a = self.atom()
             self.expect(".")
@@ -288,25 +252,16 @@ class _Parser:
                 raise SafetyError(f"variable in database fact {a}",
                                   start.line, start.col)
             atoms.append(a)
-        self.expect("}")
 
-    def atom_list(self) -> list[Atom]:
-        atoms = [self.atom()]
-        while self.peek().value == ",":
-            self.next()
-            atoms.append(self.atom())
-        return atoms
+    def body(self) -> list[Atom]:
+        """``true`` (the empty body) or comma-separated atoms."""
+        return [] if self.accept("true") else self.separated(self.atom)
 
     def atom(self) -> Atom:
         name = self.expect_name()
         self.check_reserved(name)
         self.expect("(")
-        args: list[Term] = []
-        while self.peek().value != ")":
-            args.append(self.term(self.next()))
-            if self.peek().value == ",":
-                self.next()
-        self.expect(")")
+        args = self.until(")", self.term)
         pred = Predicate(name.value, len(args))
         known = self.declared.get(name.value) or self.inferred.get(name.value)
         if known is None:
@@ -317,7 +272,8 @@ class _Parser:
                 f"declared/inferred {known.arity}", name.line, name.col)
         return Atom(pred, tuple(args))
 
-    def term(self, t: Token) -> Term:
+    def term(self) -> Term:
+        t = self.next()
         if t.kind == "number":
             return Constant(t.value)
         if t.kind != "ident" or t.value in KEYWORDS:

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import itertools
 
+from omq.errors import ProgramSyntaxError
 from omq.evaluate import prepare
 from omq.model import (CQ, TGD, Atom, Constant, Database, Instance, Predicate,
                        Variable, active_domain)
+from omq.parser import _IDENT_RE, _NUMBER_RE, Token
 from omq.rewrite import cq_isomorphic
 from omq.testkit import enumerate_databases
 
@@ -138,6 +140,56 @@ def same_disjunct_sets(ds1, ds2) -> bool:
         else:
             return False
     return True
+
+
+def char_loop_tokenize(text: str) -> list[Token]:
+    """The character-loop scanner the regex scanner replaced, kept as its
+    reference (it places the end of input after a trailing comment at the
+    comment's ``%``)."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c.isspace():
+            i += 1
+            col += 1
+            continue
+        if c == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        two = text[i:i + 2]
+        if two in ("->", ":-"):
+            tokens.append(Token("symbol", two, line, col))
+            i += 2
+            col += 2
+            continue
+        if c in ".,(){}/":
+            tokens.append(Token("symbol", c, line, col))
+            i += 1
+            col += 1
+            continue
+        m = _NUMBER_RE.match(text, i)
+        if m:
+            tokens.append(Token("number", m.group(), line, col))
+            col += len(m.group())
+            i = m.end()
+            continue
+        m = _IDENT_RE.match(text, i)
+        if m:
+            tokens.append(Token("ident", m.group(), line, col))
+            col += len(m.group())
+            i = m.end()
+            continue
+        raise ProgramSyntaxError(f"unexpected character {c!r}", line, col)
+    tokens.append(Token("eof", "", line, col))
+    return tokens
 
 
 SECTION41 = """

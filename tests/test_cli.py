@@ -274,3 +274,16 @@ def test_oracle_keeps_explicit_zero_bounds(plain_path, bound):
     payload = json.loads(done.stdout)
     assert not payload["contained"] and not payload["oracleAgrees"]
     assert payload["oracleExact"] == (bound == "--max-constants")
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify",), ("chase", "d"), ("rewrite", "q"), ("eval", "q", "d"),
+    ("contains", "q", "q"), ("distributes", "q"), ("unsat", "q"),
+])
+def test_program_not_utf8_exits_2(tmp_path, argv):
+    bad = tmp_path / "bad.omq"
+    bad.write_bytes(b"schema { P/1 }\xff")
+    done = run_process(argv[0], str(bad), *argv[1:])
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "not UTF-8" in done.stderr and "Traceback" not in done.stderr
