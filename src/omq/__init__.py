@@ -22,7 +22,7 @@ from .classify import (ClassReport, MarkedVariableSet, NotStratifiable,
                        is_non_recursive, is_sticky, marked_variables, stratify)
 from .chase import (ChaseResult, Trigger, chase_bounded, chase_nr, chase_step,
                     find_triggers, normalize_tgds, satisfies)
-from .rewrite import (DEFAULT_BUDGET, WitnessBound, cq_isomorphic,
+from .rewrite import (DEFAULT_BUDGET, WitnessBound, cq_isomorphic, cq_key,
                       factorize_step, is_applicable, is_factorizable, mgu,
                       rewrite_step, witness_bound, xrewrite)
 from .evaluate import (certain_answers, eval_membership, evaluate_cq,

@@ -47,30 +47,31 @@ def predicate_graph(tgds: Sequence[TGD]) -> dict[Predicate, set[Predicate]]:
 
 
 def find_predicate_cycle(tgds: Sequence[TGD]) -> Optional[tuple[Predicate, ...]]:
+    """The first cycle of the predicate graph met by a depth-first search
+    that visits predicates and successors in sorted order, or None. The
+    search keeps its own stack, so a long chain of rules cannot exhaust the
+    interpreter's."""
     graph = predicate_graph(tgds)
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {p: WHITE for p in graph}
-    stack: list[Predicate] = []
-
-    def visit(p: Predicate) -> Optional[tuple[Predicate, ...]]:
-        color[p] = GRAY
-        stack.append(p)
-        for q in sorted(graph[p]):
-            if color[q] == GRAY:
-                return tuple(stack[stack.index(q):]) + (q,)
-            if color[q] == WHITE:
-                found = visit(q)
-                if found:
-                    return found
-        stack.pop()
-        color[p] = BLACK
-        return None
-
-    for p in sorted(graph):
-        if color[p] == WHITE:
-            found = visit(p)
-            if found:
-                return found
+    for root in sorted(graph):
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        path = [root]
+        successors = [iter(sorted(graph[root]))]
+        while successors:
+            for q in successors[-1]:
+                if color[q] == GRAY:
+                    return tuple(path[path.index(q):]) + (q,)
+                if color[q] == WHITE:
+                    color[q] = GRAY
+                    path.append(q)
+                    successors.append(iter(sorted(graph[q])))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                successors.pop()
     return None
 
 
@@ -88,18 +89,22 @@ def stratify(tgds: Sequence[TGD]) -> Stratification | NotStratifiable:
         return Stratification(((),), {})
     graph = predicate_graph(tgds)
     head_preds = {a.predicate for t in tgds for a in t.head}
+    preds_into: dict[Predicate, list[Predicate]] = {p: [] for p in graph}
+    for r, successors in graph.items():
+        for p in successors:
+            preds_into[p].append(r)
+    # predicates in topological order: each once all its predecessors are in
+    waiting = {p: len(rs) for p, rs in preds_into.items()}
+    ready = [p for p, k in waiting.items() if k == 0]
     mu: dict[Predicate, int] = {}
-
-    def level(p: Predicate) -> int:
-        if p in mu:
-            return mu[p]
-        preds_into = [r for r in graph if p in graph[r]]
+    while ready:
+        p = ready.pop()
         base = 1 if p in head_preds else 0
-        mu[p] = max(base, 1 + max((level(r) for r in preds_into), default=-1))
-        return mu[p]
-
-    for p in graph:
-        level(p)
+        mu[p] = max(base, 1 + max((mu[r] for r in preds_into[p]), default=-1))
+        for s in graph[p]:
+            waiting[s] -= 1
+            if not waiting[s]:
+                ready.append(s)
     n = max(max(mu.values(), default=0), 1)
     strata: list[list[int]] = [[] for _ in range(n)]
     for i, t in enumerate(tgds):

@@ -216,6 +216,13 @@ class Database:
                     raise ModelError(f"non-constant term {t} in database atom {a}")
         object.__setattr__(self, "atoms", atoms)
 
+    @classmethod
+    def _trusted(cls, atoms: frozenset[Atom]) -> "Database":
+        """Wrap atoms that the caller built over constants, unchecked."""
+        db = object.__new__(cls)
+        object.__setattr__(db, "atoms", atoms)
+        return db
+
     def __iter__(self):
         return iter(self.atoms)
 

@@ -192,6 +192,7 @@ class _Parser:
                 f"{name.value} redeclared with arity {pred.arity}, "
                 f"was {known.arity}", name.line, name.col)
         self.declared[name.value] = pred
+        self.inferred.pop(name.value, None)  # used before its schema block
 
     def tgds_block(self):
         self.expect_name()  # block name is cosmetic

@@ -4,8 +4,10 @@ witness-size bound formulas for linear / non-recursive / sticky rule sets.
 
 Rewriting works on rules in head normal form (one head atom, at most one
 occurrence of one existential variable); ``xrewrite`` normalizes internally.
-Produced conjunctive queries are deduplicated modulo bijective variable
-renaming and never minimized beyond collapsing duplicate atoms.
+A produced conjunctive query is a duplicate when its canonical key
+(``cq_key``) was seen before, that is, when it equals an earlier one modulo
+a bijective variable renaming; queries are never minimized beyond collapsing
+duplicate atoms.
 """
 
 from __future__ import annotations
@@ -41,17 +43,9 @@ def _var_wins(a: Variable, b: Variable) -> bool:
     return (_renamed(a.name), a.name) <= (_renamed(b.name), b.name)
 
 
-def mgu(atoms: Iterable[Atom]) -> Optional[Substitution]:
-    """Most general unifier for a set of atoms, or None.
-
-    The representative choice is deterministic: constants and nulls always
-    survive a variable, and of two variables the winner is picked by
-    ``_var_wins``. Any MGU is acceptable (they agree modulo renaming); this
-    one keeps snapshot tests stable.
-    """
-    atoms = list(atoms)
-    if len({a.predicate for a in atoms}) != 1:
-        return None
+def _unify(atoms: Sequence[Atom]) -> Optional[dict[Variable, Term]]:
+    """The binding of the most general unifier of atoms over one predicate,
+    unresolved (a variable may be bound to a bound variable), or None."""
     bind: dict[Variable, Term] = {}
 
     def resolve(t: Term) -> Term:
@@ -78,7 +72,22 @@ def mgu(atoms: Iterable[Atom]) -> Optional[Substitution]:
                 bind[t] = s
             else:
                 return None  # constant/null clash
-    return Substitution(bind)
+    return bind
+
+
+def mgu(atoms: Iterable[Atom]) -> Optional[Substitution]:
+    """Most general unifier for a set of atoms, or None.
+
+    The representative choice is deterministic: constants and nulls always
+    survive a variable, and of two variables the winner is picked by
+    ``_var_wins``. Any MGU is acceptable (they agree modulo renaming); this
+    one keeps snapshot tests stable.
+    """
+    atoms = list(atoms)
+    if len({a.predicate for a in atoms}) != 1:
+        return None
+    bind = _unify(atoms)
+    return None if bind is None else Substitution(bind)
 
 
 def _position_of_existential(t: TGD) -> Optional[tuple[Predicate, int]]:
@@ -103,15 +112,20 @@ def _shared_variables(q: CQ) -> set[Variable]:
     return shared
 
 
+def _rename_apart(a: Atom, suffix: str) -> Atom:
+    """``a`` with ``suffix`` appended to each variable name."""
+    return Atom(a.predicate, tuple(
+        Variable(t.name + suffix) if isinstance(t, Variable) else t
+        for t in a.args))
+
+
 def _head_apart(t: TGD) -> Atom:
     """The head of a normal-form tgd renamed apart from queries, cached on
     the tgd: query variables end in no ``#`` or in ``#`` and a step."""
     cached = getattr(t, "_head_apart", None)
-    if cached is None:  # TGD.rename would rebuild and re-check the whole tgd
+    if cached is None:
         (head,) = t.head
-        cached = Atom(head.predicate, tuple(
-            Variable(a.name + RENAME_SEP) if isinstance(a, Variable) else a
-            for a in head.args))
+        cached = _rename_apart(head, RENAME_SEP)
         object.__setattr__(t, "_head_apart", cached)
     return cached
 
@@ -129,7 +143,7 @@ def is_applicable(t: TGD, S: Iterable[Atom], q: CQ) -> bool:
     (head,) = t.head
     if any(a.predicate != head.predicate for a in S):
         return False
-    if mgu(S + [_head_apart(t)]) is None:
+    if _unify(S + [_head_apart(t)]) is None:
         return False
     pi = _position_of_existential(t)
     if pi is None:
@@ -167,7 +181,7 @@ def is_factorizable(S: Iterable[Atom], t: TGD, q: CQ) -> bool:
         return False
     if any(a.predicate != pi[0] for a in S):
         return False
-    if mgu(S) is None:
+    if _unify(S) is None:
         return False
     outside = atoms_variables(q.body - frozenset(S))
     candidates: Optional[set[Variable]] = None
@@ -183,12 +197,13 @@ def is_factorizable(S: Iterable[Atom], t: TGD, q: CQ) -> bool:
 def rewrite_step(q: CQ, S: Iterable[Atom], t: TGD, step_index: int) -> CQ:
     """Resolve S in q using the step-renamed tgd; answers follow the MGU."""
     S = frozenset(S)
-    renamed = t.rename(f"{RENAME_SEP}{step_index}")
-    (head,) = renamed.head
-    unifier = mgu(list(sorted_atoms(S)) + [head])
+    suffix = f"{RENAME_SEP}{step_index}"
+    (head,) = t.head
+    unifier = mgu(sorted_atoms(S) + [_rename_apart(head, suffix)])
     if unifier is None:
         raise ValueError("rewrite_step on a non-applicable pair")
-    new_body = unifier.apply_atoms((q.body - S) | renamed.body)
+    new_body = unifier.apply_atoms(
+        (q.body - S).union(_rename_apart(a, suffix) for a in t.body))
     answers = tuple(unifier.apply_term(t) for t in q.answers)
     return CQ(answers, new_body)
 
@@ -201,141 +216,294 @@ def factorize_step(q: CQ, S: Iterable[Atom]) -> CQ:
     return unifier.apply_cq(q)
 
 
-# -- isomorphism of CQs ------------------------------------------------------
+# -- canonical keys of CQs --------------------------------------------------
 
 
-def _answer_pattern(q: CQ):
-    """Constants verbatim; variables by first-occurrence index."""
-    seen: dict[Variable, int] = {}
-    out = []
-    for t in q.answers:
-        if isinstance(t, Variable):
-            out.append(("v", seen.setdefault(t, len(seen))))
-        else:
-            out.append(("c", t.name))
-    return tuple(out)
+def cq_key(q: CQ) -> str:
+    """A canonical key of ``q``, cached on it: two CQs have the same key
+    exactly when they are equal modulo a bijective variable renaming
+    (constants fixed, answer tuples aligned positionally).
 
-
-def _variable_profiles(q: CQ):
-    """Sorted multiset of per-variable occurrence fingerprints; a strong
-    isomorphism invariant used to keep dedup buckets small."""
-    prof: dict[Variable, list] = {}
-    for a in q.body:
-        for k, t in enumerate(a.args):
-            if isinstance(t, Variable):
-                prof.setdefault(t, []).append((a.predicate.name, k))
-    answer_pos: dict[Variable, list] = {}
-    for i, t in enumerate(q.answers):
-        if isinstance(t, Variable):
-            answer_pos.setdefault(t, []).append(i)
-    return tuple(sorted(
-        (tuple(sorted(occ)), tuple(answer_pos.get(v, ())))
-        for v, occ in prof.items()))
-
-
-def cq_signature(q: CQ):
-    cached = getattr(q, "_sig", None)
-    if cached is None:
-        preds = sorted((a.predicate.name, a.predicate.arity) for a in q.body)
-        cached = (len(q.body), tuple(preds), len(q.variables()),
-                  _answer_pattern(q), _variable_profiles(q))
-        object.__setattr__(q, "_sig", cached)
-    return cached
+    A variable that occurs once in the body and not among the answers is
+    written as a wildcard ``_``: any two such variables are interchangeable.
+    The other variables are labelled by individualization and refinement
+    (McKay and Piperno, "Practical graph isomorphism, II", 2014). Colour
+    refinement starts from each variable's (predicate, position) profile,
+    which also records the constants, wildcards and repeated variables of
+    each atom, and its answer positions. While a cell of the refined
+    partition holds more than one variable, the first smallest such cell is
+    split by individualizing each of its variables in turn and refining
+    again. Every step depends on the query's structure only, never on
+    variable names, so the discrete partitions at the leaves are the same up
+    to renaming for isomorphic queries, and the key is the least encoding
+    over the leaves.
+    """
+    key = getattr(q, "_cq_key", None)
+    if key is None:
+        key = _Labelling(q).key()
+        object.__setattr__(q, "_cq_key", key)
+    return key
 
 
 def cq_isomorphic(q1: CQ, q2: CQ) -> bool:
     """Equality modulo a bijective variable renaming (constants fixed,
     answer tuples aligned positionally)."""
-    if cq_signature(q1) != cq_signature(q2):
-        return False
-    fwd: dict[Variable, Variable] = {}
-    rev: dict[Variable, Variable] = {}
+    return cq_key(q1) == cq_key(q2)
 
-    def bind(a: Term, b: Term) -> Optional[list]:
-        if isinstance(a, Variable) != isinstance(b, Variable):
-            return None
-        if not isinstance(a, Variable):
-            return [] if a == b else None
-        fa, rb = fwd.get(a), rev.get(b)
-        if fa is None and rb is None:
-            fwd[a] = b
-            rev[b] = a
-            return [(a, b)]
-        if fa == b and rb == a:
-            return []
-        return None
 
-    def unbind(added: list):
-        for a, b in added:
-            del fwd[a]
-            del rev[b]
+class _Labelling:
+    """The refinement tree of one CQ.
 
-    for t1, t2 in zip(q1.answers, q2.answers):
-        if bind(t1, t2) is None:
-            return False
+    The labelled variables are numbered 0..n-1 in an arbitrary order. An
+    ordered partition of them is ``(cell_of, cells)``: ``cells`` maps the
+    position where a cell starts in the order to its members, and
+    ``cell_of`` gives each variable the start of its cell, which is its
+    label once every cell is a singleton. An atom is written as its
+    predicate and arguments, where a labelled variable is its label, a
+    wildcard ``_`` and a constant its name; names are written by ``repr``,
+    so an encoding can be read back unambiguously.
+    """
 
-    atoms1 = getattr(q1, "_sorted_body", None)
-    if atoms1 is None:
-        atoms1 = sorted_atoms(q1.body)
-        object.__setattr__(q1, "_sorted_body", atoms1)
-    atoms2 = list(q2.body)
+    def __init__(self, q: CQ):
+        counts: dict[Variable, int] = {}
+        for a in q.body:
+            for t in a.args:
+                if isinstance(t, Variable):
+                    counts[t] = counts.get(t, 0) + 1
+        for t in q.answers:
+            if isinstance(t, Variable):
+                counts[t] = 2  # an answer variable is never a wildcard
+        number: dict[Variable, int] = {}
+        for v, c in counts.items():
+            if c > 1:
+                number[v] = len(number)
+        self.n = len(number)
+        # per atom: its text up to the arguments, and each argument as the
+        # number of a labelled variable or as its text
+        self.atoms = [(f"{a.predicate.name!r}/{a.predicate.arity}(",
+                       [number.get(t, "_") if isinstance(t, Variable)
+                        else repr(t.name) for t in a.args]) for a in q.body]
+        self.answers = [number[t] if isinstance(t, Variable) else repr(t.name)
+                        for t in q.answers]
 
-    def search(i: int, used: set[int]) -> bool:
-        if i == len(atoms1):
-            return True
-        a = atoms1[i]
-        for j, b in enumerate(atoms2):
-            if j in used or b.predicate != a.predicate:
+    def encode(self, cell_of: list[int]) -> str:
+        labels = [str(c) for c in cell_of]
+        atoms = sorted(
+            prefix + ",".join([a if a.__class__ is str else labels[a]
+                               for a in args]) + ")"
+            for prefix, args in self.atoms)
+        answers = ",".join([a if a.__class__ is str else labels[a]
+                            for a in self.answers])
+        return f"({answers})" + "".join(atoms)
+
+    def key(self) -> str:
+        """The least leaf encoding."""
+        if self.n < 2:
+            return self.encode([0] * self.n)
+        cell_of, cells = self.colouring()
+        if len(cells) < self.n:
+            self.refine(cell_of, cells, list(cells))
+        if len(cells) < self.n:
+            return self.search(cell_of, cells)
+        return self.encode(cell_of)
+
+    def colouring(self) -> tuple[list[int], dict[int, set[int]]]:
+        """The ordered partition by colour, where a variable's colour lists
+        the shape of each atom it occurs in with its position there, and
+        ("", p) for each answer position p. A shape writes each labelled
+        variable as its first position in the atom. Also sets up what
+        ``refine`` counts: (shape, position of the splitter's variable,
+        position of the counted variable) triples, packed into one int."""
+        n = self.n
+        shapes = [prefix + ",".join([a if a.__class__ is str else str(args.index(a))
+                                     for a in args]) + ")"
+                  for prefix, args in self.atoms]
+        profiles: list[list[tuple[str, int]]] = [[] for _ in range(n)]
+        for shape, (_, args) in zip(shapes, self.atoms):
+            for j, a in enumerate(args):
+                if a.__class__ is int:
+                    profiles[a].append((shape, j))
+        for p, a in enumerate(self.answers):
+            if a.__class__ is int:
+                profiles[a].append(("", p))
+        by_colour: dict[tuple, list[int]] = {}
+        for i, profile in enumerate(profiles):
+            profile.sort()
+            by_colour.setdefault(tuple(profile), []).append(i)
+        cell_of = [0] * n
+        cells: dict[int, set[int]] = {}
+        start = 0
+        for colour in sorted(by_colour):
+            members = by_colour[colour]
+            cells[start] = set(members)
+            for i in members:
+                cell_of[i] = start
+            start += len(members)
+        ids = {shape: k for k, shape in enumerate(sorted(set(shapes)))}
+        width = max(len(args) for _, args in self.atoms)
+        self.occurrences: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        self.labelled: list[list[tuple[int, int]]] = []
+        for k, (shape, (_, args)) in enumerate(zip(shapes, self.atoms)):
+            for j, a in enumerate(args):
+                if a.__class__ is int:
+                    self.occurrences[a].append(
+                        ((ids[shape] * width + j) * width, j, k))
+            self.labelled.append([(p, a) for p, a in enumerate(args)
+                                  if a.__class__ is int])
+        return cell_of, cells
+
+    def search(self, cell_of: list[int], cells: dict[int, set[int]]) -> str:
+        """The least leaf encoding below an equitable partition, depth
+        first. When a leaf encodes like the first leaf, the two labellings
+        differ by an automorphism of the query, which maps the subtree where
+        the two paths part onto the first path's: the rest of that subtree
+        is skipped, and a later child that an automorphism fixing the path
+        maps onto a tried child is not tried (McKay and Piperno's pruning by
+        automorphisms)."""
+        best = first = None
+        first_path: list[int] = []
+        first_at = [0] * self.n  # the variable with each label in the first leaf
+        automorphisms: list[list[int]] = []
+        stack = [(cell_of, cells, [], [])]  # partition, path, tried children
+        while stack:
+            cell_of, cells, path, tried = stack[-1]
+            _, target = min((len(m), s) for s, m in cells.items() if len(m) > 1)
+            i = self.untried(sorted(cells[target]), tried, path, automorphisms)
+            if i is None:
+                stack.pop()
                 continue
-            added: list = []
-            ok = True
-            for s, t in zip(a.args, b.args):
-                got = bind(s, t)
-                if got is None:
-                    ok = False
-                    break
-                added.extend(got)
-            if ok and search(i + 1, used | {j}):
-                return True
-            unbind(added)
-        return False
+            tried.append(i)
+            child_of = cell_of.copy()
+            child = {s: set(m) for s, m in cells.items()}
+            rest = child[target]
+            rest.discard(i)
+            child[target] = {i}
+            child[target + 1] = rest
+            for j in rest:
+                child_of[j] = target + 1
+            self.refine(child_of, child, [target])
+            child_path = path + [i]
+            if len(child) < self.n:
+                stack.append((child_of, child, child_path, []))
+                continue
+            encoding = self.encode(child_of)
+            if first is None:
+                best = first = encoding
+                first_path = child_path
+                for j, label in enumerate(child_of):
+                    first_at[label] = j
+            elif encoding == first:
+                automorphisms.append([first_at[label] for label in child_of])
+                parted = next(d for d, (u, v) in enumerate(zip(child_path, first_path))
+                              if u != v)
+                del stack[parted + 1:]
+            elif encoding < best:
+                best = encoding
+        return best
 
-    return search(0, set())
+    @staticmethod
+    def untried(candidates: list[int], tried: list[int], path: list[int],
+                 automorphisms: list[list[int]]) -> Optional[int]:
+        """The first candidate outside the orbits of the tried ones under
+        the automorphisms that fix every variable on the path."""
+        fixing = [g for g in automorphisms if all(g[v] == v for v in path)]
+        seen = set(tried)
+        todo = list(tried)
+        while todo:
+            v = todo.pop()
+            for g in fixing:
+                if g[v] not in seen:
+                    seen.add(g[v])
+                    todo.append(g[v])
+        return next((i for i in candidates if i not in seen), None)
+
+    def refine(self, cell_of: list[int], cells: dict[int, set[int]],
+               queue: list[int]):
+        """Split cells until the partition is equitable: every two members
+        of a cell meet every cell in the same ways. Each splitter cell
+        touches only the variables next to it, so a split costs the
+        neighbourhood of the splitter, not the whole query; a cell that
+        splits after it served as a splitter queues every part but its
+        largest (Hopcroft)."""
+        queued = set(queue)
+        occurrences, labelled = self.occurrences, self.labelled
+        while queue:
+            s = queue.pop()
+            queued.discard(s)
+            touched: dict[int, list[int]] = {}
+            for w in cells[s]:
+                for base, j, k in occurrences[w]:
+                    for p, i in labelled[k]:
+                        if p != j:
+                            touched.setdefault(i, []).append(base + p)
+            by_cell: dict[int, dict[tuple[int, ...], list[int]]] = {}
+            for i, counted in touched.items():
+                counted.sort()
+                by_cell.setdefault(cell_of[i], {}).setdefault(
+                    tuple(counted), []).append(i)
+            for c in sorted(by_cell):
+                groups = by_cell[c]
+                members = cells[c]
+                moved = sum(len(g) for g in groups.values())
+                if len(groups) == 1 and moved == len(members):
+                    continue
+                parts = []
+                start = c + len(members) - moved
+                if start > c:  # the untouched members stay first
+                    for g in groups.values():
+                        members.difference_update(g)
+                    parts.append(c)
+                for counted in sorted(groups):
+                    g = groups[counted]
+                    cells[start] = set(g)
+                    for i in g:
+                        cell_of[i] = start
+                    parts.append(start)
+                    start += len(g)
+                if c not in queued:
+                    largest = max(parts, key=lambda p: len(cells[p]))
+                    parts.remove(largest)
+                for p in parts:
+                    if p not in queued:
+                        queued.add(p)
+                        queue.append(p)
 
 
 # -- the rewriting procedure ---------------------------------------------------
 
 
 class _Dedup:
-    """Signature-bucketed lookup of isomorphic (query, label) entries."""
+    """The queries seen so far, by canonical key, with the kinds of step
+    that produced them."""
 
     def __init__(self):
-        self.buckets: dict = {}
+        self.kinds: dict[str, tuple[str, ...]] = {}
 
-    def add(self, q: CQ, label: str):
-        self.buckets.setdefault(cq_signature(q), []).append((q, label))
+    def add(self, q: CQ, kind: str):
+        key = cq_key(q)
+        seen = self.kinds.get(key, ())
+        if kind not in seen:
+            self.kinds[key] = seen + (kind,)
 
-    def has(self, q: CQ, labels: tuple[str, ...]) -> bool:
-        return any(label in labels and cq_isomorphic(q, e)
-                   for e, label in self.buckets.get(cq_signature(q), ()))
+    def has(self, q: CQ, kinds: tuple[str, ...]) -> bool:
+        return any(kind in kinds for kind in self.kinds.get(cq_key(q), ()))
 
 
-def _predicate_subsets(q: CQ, head_pred: Predicate, smallest: int):
-    """Nonempty subsets of body atoms over ``head_pred``, smallest first,
+def _predicate_subsets(pool: list[Atom], smallest: int):
+    """Subsets of ``pool`` of at least ``smallest`` atoms, smallest first,
     then lexicographic by atom order."""
-    pool = [a for a in sorted_atoms(q.body) if a.predicate == head_pred]
     for size in range(smallest, len(pool) + 1):
         yield from itertools.combinations(pool, size)
 
 
-def _step_subsets(q: CQ, t: TGD):
-    """The subsets of q that ``t`` may resolve, then those it may
+def _step_subsets(q: CQ, t: TGD, pool: list[Atom]):
+    """The subsets of ``pool``, the sorted atoms of q over the head
+    predicate of ``t``, that ``t`` may resolve, then those it may
     factorize, each with its kind of step."""
-    (head,) = t.head
-    for S in _predicate_subsets(q, head.predicate, 1):
+    for S in _predicate_subsets(pool, 1):
         if is_applicable(t, S, q):
             yield "rewrite", S
-    for S in _predicate_subsets(q, head.predicate, 2):
+    for S in _predicate_subsets(pool, 2):
         if is_factorizable(S, t, q):
             yield "factorize", S
 
@@ -351,8 +519,13 @@ def _xrewrite_cq(q0: CQ, tgds: Sequence[TGD], s_preds: frozenset[Predicate],
     steps = 0
     rename_counter = itertools.count(1)
     for q, _ in entries:  # entries grows while it is walked
+        by_predicate: dict[Predicate, list[Atom]] = {}
+        for a in sorted_atoms(q.body):
+            by_predicate.setdefault(a.predicate, []).append(a)
         for t in tgds:
-            for kind, S in _step_subsets(q, t):
+            (head,) = t.head
+            pool = by_predicate.get(head.predicate, [])
+            for kind, S in _step_subsets(q, t, pool):
                 steps += 1
                 if steps > budget:
                     raise BudgetExhausted(

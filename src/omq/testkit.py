@@ -41,7 +41,7 @@ def enumerate_databases(schema: Schema, max_constants: int,
             f"({MAX_GROUND_ATOMS})")
     for size in range(0, min(max_atoms, len(ground)) + 1):
         for combo in itertools.combinations(ground, size):
-            yield Database(combo)
+            yield Database._trusted(frozenset(combo))
 
 
 def count_databases(schema: Schema, max_constants: int, max_atoms: int) -> int:

@@ -7,7 +7,7 @@ import itertools
 from omq.errors import ProgramSyntaxError
 from omq.evaluate import prepare
 from omq.model import (CQ, TGD, Atom, Constant, Database, Instance, Predicate,
-                       Variable, active_domain)
+                       Variable, active_domain, sorted_atoms)
 from omq.parser import _IDENT_RE, _NUMBER_RE, Token
 from omq.rewrite import cq_isomorphic
 from omq.testkit import enumerate_databases
@@ -98,6 +98,65 @@ def eager_distribution_check(omq, max_constants, max_atoms, budget=None):
         if answers(db) != frozenset(union):
             return False, db
     return True, None
+
+
+def reference_isomorphic(q1: CQ, q2: CQ) -> bool:
+    """The backtracking search ``cq_isomorphic`` ran before canonical keys:
+    is there a bijective variable renaming that maps q1's answers onto q2's
+    position by position and q1's body onto q2's? Atoms of q1 are matched
+    in sorted order against every unused atom of q2 over the same
+    predicate."""
+    if len(q1.answers) != len(q2.answers) or len(q1.body) != len(q2.body):
+        return False
+    fwd: dict = {}
+    rev: dict = {}
+
+    def bind(a, b):
+        if isinstance(a, Variable) != isinstance(b, Variable):
+            return None
+        if not isinstance(a, Variable):
+            return [] if a == b else None
+        fa, rb = fwd.get(a), rev.get(b)
+        if fa is None and rb is None:
+            fwd[a] = b
+            rev[b] = a
+            return [(a, b)]
+        if fa == b and rb == a:
+            return []
+        return None
+
+    def unbind(added):
+        for a, b in added:
+            del fwd[a]
+            del rev[b]
+
+    for t1, t2 in zip(q1.answers, q2.answers):
+        if bind(t1, t2) is None:
+            return False
+    atoms1 = sorted_atoms(q1.body)
+    atoms2 = list(q2.body)
+
+    def search(i, used):
+        if i == len(atoms1):
+            return True
+        a = atoms1[i]
+        for j, b in enumerate(atoms2):
+            if j in used or b.predicate != a.predicate:
+                continue
+            added: list = []
+            ok = True
+            for s, t in zip(a.args, b.args):
+                got = bind(s, t)
+                if got is None:
+                    ok = False
+                    break
+                added.extend(got)
+            if ok and search(i + 1, used | {j}):
+                return True
+            unbind(added)
+        return False
+
+    return search(0, set())
 
 
 def tgd_isomorphic(t1: TGD, t2: TGD) -> bool:

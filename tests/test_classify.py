@@ -67,6 +67,22 @@ def test_stratify_respects_ordering_constraints():
             assert strat.mu[head.predicate] == k
 
 
+def test_long_rule_chain_stratifies_and_closes_into_one_cycle():
+    # P0(x) -> P1(x), ..., P9999(x) -> P10000(x): deeper than the
+    # interpreter's recursion limit
+    preds = [Predicate(f"P{i}", 1) for i in range(10_001)]
+    chain = [TGD.of([atom(preds[i].name, x)], [atom(preds[i + 1].name, x)])
+             for i in range(10_000)]
+    strat = stratify(chain)
+    assert isinstance(strat, Stratification)
+    assert all(strat.mu[p] == i for i, p in enumerate(preds))
+    assert strat.strata == tuple((i,) for i in range(10_000))
+    back = TGD.of([atom("P10000", x)], [atom("P0", x)])
+    cycle = stratify(chain + [back])
+    assert isinstance(cycle, NotStratifiable)
+    assert cycle.cycle == tuple(preds) + (preds[0],)
+
+
 def test_non_recursive_examples():
     chain = [TGD.of([atom("A", x)], [atom("B", x)]),
              TGD.of([atom("B", x)], [atom("C", x)])]

@@ -250,6 +250,16 @@ def test_family_above_cap_exits_2_promptly():
     assert "Traceback" not in done.stderr
 
 
+def test_classify_long_rule_chain(tmp_path):
+    chain = tmp_path / "chain.omq"
+    chain.write_text("tgds t {\n" + "".join(
+        f"  P{i}(x) -> P{i + 1}(x).\n" for i in range(10_000)) + "}\n")
+    done = run_process("classify", str(chain), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert json.loads(done.stdout)["flags"]["nonRecursive"] is True
+
+
 def test_oracle_rewrites_under_the_given_budget(prog_path):
     """--budget and OMQ_BUDGET also bound the oracle's rewriting of q1:
     with the library default lowered below the steps q1 needs, they alone

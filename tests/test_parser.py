@@ -27,6 +27,13 @@ def test_parse_worked_example():
     assert cq.answers == (Variable("x"),)
 
 
+def test_inferred_excludes_declared_in_either_block_order():
+    first = parse_program("schema { P/1 } query q() :- P(a).")
+    later = parse_program("query q() :- P(a). schema { P/1 }")
+    assert first.inferred == later.inferred == Schema(())
+    assert first == later
+
+
 def test_parse_single_line_with_declared_derived_predicate():
     # the same rules with R declared in the schema block: the declared block
     # is the data schema verbatim, so S here is {P, R, T}

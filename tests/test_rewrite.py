@@ -1,15 +1,17 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import SECTION41, same_disjunct_sets
+from helpers import SECTION41, reference_isomorphic, same_disjunct_sets
 from omq.chase import normalize_tgds
 from omq.errors import BudgetExhausted, PreconditionViolated, UnsupportedClass
 from omq.evaluate import certain_answers, evaluate_ucq
-from omq.model import (CQ, OMQ, TGD, UCQ, Constant, Database, Predicate,
-                       Schema, Variable, atom)
+from omq.model import (CQ, OMQ, TGD, UCQ, Atom, Constant, Database,
+                       Predicate, Schema, Variable, atom)
 from omq.parser import parse_program
-from omq.rewrite import (cq_isomorphic, factorize_step, is_applicable,
-                         is_factorizable, mgu, rewrite_step, witness_bound,
-                         xrewrite)
+from omq.rewrite import (cq_isomorphic, cq_key, factorize_step,
+                         is_applicable, is_factorizable, mgu, rewrite_step,
+                         witness_bound, xrewrite)
 from omq.testkit import GeneratorConfig, enumerate_databases, random_omq
 
 a, b = Constant("a"), Constant("b")
@@ -256,6 +258,104 @@ def test_cq_isomorphic_basics():
     q7 = CQ((y, x), [atom("R", x, y)])
     assert not cq_isomorphic(q6, q7)
     assert cq_isomorphic(q6, CQ((u, v), [atom("R", u, v)]))
+    # variables that occur once are interchangeable, but still counted
+    assert cq_isomorphic(CQ((), [atom("R", x, y), atom("R", x, z)]),
+                         CQ((), [atom("R", u, w), atom("R", u, v)]))
+    assert not cq_isomorphic(CQ((), [atom("R", x, y), atom("R", x, z)]),
+                             CQ((), [atom("R", x, y)]))
+    assert not cq_isomorphic(CQ((), [atom("R", x, y), atom("R", z, y)]),
+                             CQ((), [atom("R", x, y), atom("R", x, z)]))
+
+
+KEY_PREDICATES = [Predicate("P", 1), Predicate("R", 2), Predicate("T", 3)]
+KEY_VARIABLES = [Variable(f"v{i}") for i in range(6)]
+KEY_CONSTANTS = [Constant("a"), Constant("b")]
+KEY_NAMES = [Variable(f"n{i}") for i in range(20)]
+
+
+@st.composite
+def key_queries(draw):
+    """A small CQ over a few variables and constants, some of them answers
+    (repeats and constants allowed), sometimes with a directed cycle or a
+    clique over R, the symmetric bodies that refinement cannot split."""
+    terms = st.sampled_from(KEY_VARIABLES + KEY_VARIABLES + KEY_CONSTANTS)
+    body = draw(st.lists(st.sampled_from(KEY_PREDICATES).flatmap(
+        lambda p: st.tuples(*[terms] * p.arity).map(lambda args: Atom(p, args))),
+        max_size=6))
+    shape = draw(st.sampled_from(["plain", "cycle", "clique"]))
+    if shape != "plain":
+        size = draw(st.integers(2, 6 if shape == "cycle" else 4))
+        ring = draw(st.permutations(KEY_VARIABLES + KEY_NAMES[:6]))[:size]
+        r = KEY_PREDICATES[1]
+        if shape == "cycle":
+            body += [Atom(r, (ring[i], ring[(i + 1) % size])) for i in range(size)]
+        else:
+            body += [Atom(r, (s, t)) for s in ring for t in ring if s != t]
+    body_vars = sorted({t for a in body for t in a.args if isinstance(t, Variable)},
+                       key=lambda v: v.name)
+    answers = draw(st.lists(st.sampled_from(body_vars + KEY_CONSTANTS), max_size=3))
+    return CQ(answers, body)
+
+
+def renamed(q, names):
+    mapping = dict(zip(sorted(q.variables(), key=lambda v: v.name), names))
+
+    def sub(t):
+        return mapping.get(t, t)
+
+    return CQ([sub(t) for t in q.answers],
+              [Atom(a.predicate, tuple(map(sub, a.args))) for a in q.body])
+
+
+@st.composite
+def key_query_pairs(draw):
+    """A CQ and a second one: a renamed copy, a renamed copy with one
+    argument changed, one atom's arguments reversed or one answer added, or
+    an independent draw."""
+    q1 = draw(key_queries())
+    mode = draw(st.sampled_from(["renamed", "changed", "independent"]))
+    if mode == "independent":
+        return q1, draw(key_queries())
+    q2 = renamed(q1, draw(st.permutations(KEY_NAMES)))
+    if mode == "changed":
+        terms = sorted(q2.variables(), key=lambda v: v.name) + KEY_CONSTANTS
+        body = sorted(q2.body)
+        change = draw(st.sampled_from(["argument", "reverse", "answer"])
+                      if body else st.just("answer"))
+        if change == "answer":
+            answers = list(q2.answers) + [draw(st.sampled_from(terms))]
+        else:
+            i = draw(st.integers(0, len(body) - 1))
+            args = list(body[i].args)
+            if change == "reverse":
+                args.reverse()
+            else:
+                args[draw(st.integers(0, len(args) - 1))] = draw(st.sampled_from(terms))
+            body[i] = Atom(body[i].predicate, tuple(args))
+            body_vars = {t for b in body for t in b.args}
+            answers = [t for t in q2.answers if t in body_vars or isinstance(t, Constant)]
+        q2 = CQ(answers, body)
+    return q1, q2
+
+
+@settings(max_examples=400, deadline=None)
+@given(key_query_pairs())
+def test_cq_key_equal_exactly_when_reference_finds_isomorphism(pair):
+    q1, q2 = pair
+    assert (cq_key(q1) == cq_key(q2)) == reference_isomorphic(q1, q2)
+
+
+def test_cq_key_of_a_long_path():
+    # refinement splits the path from both ends inward, one pair of
+    # variables per splitter, so the key costs linear work in the length
+    xs = [Variable(f"x{i}") for i in range(1501)]
+    path = [atom("R", xs[i], xs[i + 1]) for i in range(1500)]
+    q = CQ((), path)
+    copy = renamed(q, [Variable(f"y{i}") for i in range(1501)])
+    turned = list(path)
+    turned[700] = atom("R", xs[701], xs[700])
+    assert cq_key(q) == cq_key(copy)
+    assert cq_key(q) != cq_key(CQ((), turned))
 
 
 def test_normal_form_required_for_position():

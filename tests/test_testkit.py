@@ -26,6 +26,10 @@ def test_enumerate_binary_counts():
     dbs = list(enumerate_databases(schema, 2, 2))
     assert len(dbs) == 11  # 1 + 4 + 6
     assert len(dbs) == count_databases(schema, 2, 2)
+    # built unchecked, they equal and hash like checked databases
+    for db in dbs:
+        checked = Database(db.atoms)
+        assert db == checked and hash(db) == hash(checked)
 
 
 def test_enumerate_matches_closed_form():
