@@ -260,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json")
         if budget:
             p.add_argument("--budget", type=int, default=None,
-                           help="rewriting step budget (default 10^6)")
+                           help="rewriting step budget: candidate subsets "
+                                "tested per query disjunct (default 10^6)")
 
     p = sub.add_parser("classify", help="class membership flags of the rule set")
     common(p, budget=False)

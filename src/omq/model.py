@@ -21,6 +21,9 @@ NULL_PREFIX = "_:"
 class Constant:
     name: str
 
+    def __hash__(self):
+        return hash(self.name)
+
     def __str__(self):
         return self.name
 
@@ -28,6 +31,9 @@ class Constant:
 @dataclass(frozen=True, order=True)
 class Variable:
     name: str
+
+    def __hash__(self):
+        return hash(self.name)
 
     def __str__(self):
         return self.name
@@ -65,6 +71,9 @@ class Predicate:
     def __post_init__(self):
         if self.arity < 0:
             raise ModelError(f"negative arity for {self.name}")
+
+    def __hash__(self):
+        return hash(self.name) ^ self.arity
 
     def __str__(self):
         return f"{self.name}/{self.arity}"
@@ -121,11 +130,27 @@ class Atom:
     predicate: Predicate
     args: tuple[Term, ...]
 
+    _hash = None  # the hash, computed on first use; not a field
+
     def __post_init__(self):
         if len(self.args) != self.predicate.arity:
             raise ModelError(
                 f"{self.predicate} applied to {len(self.args)} arguments"
             )
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.predicate, self.args))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        # string hashes differ between processes, so a pickle or copy
+        # carries no cached hash
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
 
     def variables(self) -> frozenset[Variable]:
         cached = getattr(self, "_vars", None)

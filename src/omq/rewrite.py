@@ -4,10 +4,20 @@ witness-size bound formulas for linear / non-recursive / sticky rule sets.
 
 Rewriting works on rules in head normal form (one head atom, at most one
 occurrence of one existential variable); ``xrewrite`` normalizes internally.
+A step applies the unifier itself: ``_unify`` returns the raw binding of a
+subset of query atoms (with the step-renamed tgd head, for a rewriting
+step), the step follows each variable's chain of bindings to its end, and
+it rebuilds only the atoms that hold a bound variable; the others are kept,
+cached hash included. ``mgu`` wraps the same binding as a ``Substitution``.
 A produced conjunctive query is a duplicate when its canonical key
 (``cq_key``) was seen before, that is, when it equals an earlier one modulo
 a bijective variable renaming; queries are never minimized beyond collapsing
 duplicate atoms.
+
+The step budget counts candidate subsets: each subset of a query's atoms
+over a tgd's head predicate that the loop tests for a rewriting or a
+factorization step counts once, whether a step applies or not, so the
+budget bounds the work of the rewriting of each query disjunct.
 """
 
 from __future__ import annotations
@@ -28,49 +38,52 @@ DEFAULT_BUDGET = 10 ** 6
 RENAME_SEP = "#"
 
 
-def _renamed(name: str) -> bool:
-    return RENAME_SEP in name
-
-
-def _var_wins(a: Variable, b: Variable) -> bool:
-    """Orientation for variable-variable unification: original query
-    variables beat step-renamed tgd variables, then lexicographic.
+def _var_wins(a: str, b: str) -> bool:
+    """Orientation for variable-variable unification, by name: original
+    query variables beat step-renamed tgd variables, then lexicographic.
 
     Keeping query-side representatives realizes the execution of the
     algorithm under which every multi-occurring variable of a rewriting
     disjunct stems from the original query (the sticky join property).
     """
-    return (_renamed(a.name), a.name) <= (_renamed(b.name), b.name)
+    return (RENAME_SEP in a, a) <= (RENAME_SEP in b, b)
 
 
-def _unify(atoms: Sequence[Atom]) -> Optional[dict[Variable, Term]]:
+def _end(bind: dict[str, Term], t: Term) -> Term:
+    """The end of ``t``'s chain of bindings."""
+    while t.__class__ is Variable:
+        u = bind.get(t.name)
+        if u is None:
+            break
+        t = u
+    return t
+
+
+def _unify(atoms: Sequence[Atom]) -> Optional[dict[str, Term]]:
     """The binding of the most general unifier of atoms over one predicate,
-    unresolved (a variable may be bound to a bound variable), or None."""
-    bind: dict[Variable, Term] = {}
+    unresolved (a variable may be bound to a bound variable), or None.
 
-    def resolve(t: Term) -> Term:
-        while isinstance(t, Variable) and t in bind:
-            t = bind[t]
-        return t
-
-    first = atoms[0]
+    Only variables are bound, and the binding is keyed by variable name:
+    a string hashes and compares without calling into Python code.
+    """
+    bind: dict[str, Term] = {}
+    first = atoms[0].args
     for other in atoms[1:]:
-        for s, t in zip(first.args, other.args):
-            s, t = resolve(s), resolve(t)
-            if s == t:
-                continue
-            s_var = isinstance(s, Variable)
-            t_var = isinstance(t, Variable)
+        for s, t in zip(first, other.args):
+            s, t = _end(bind, s), _end(bind, t)
+            s_var = s.__class__ is Variable
+            t_var = t.__class__ is Variable
             if s_var and t_var:
-                if _var_wins(s, t):
-                    bind[t] = s
-                else:
-                    bind[s] = t
+                if s.name != t.name:
+                    if _var_wins(s.name, t.name):
+                        bind[t.name] = s
+                    else:
+                        bind[s.name] = t
             elif s_var:
-                bind[s] = t
+                bind[s.name] = t
             elif t_var:
-                bind[t] = s
-            else:
+                bind[t.name] = s
+            elif s != t:
                 return None  # constant/null clash
     return bind
 
@@ -87,7 +100,9 @@ def mgu(atoms: Iterable[Atom]) -> Optional[Substitution]:
     if len({a.predicate for a in atoms}) != 1:
         return None
     bind = _unify(atoms)
-    return None if bind is None else Substitution(bind)
+    if bind is None:
+        return None
+    return Substitution({Variable(n): t for n, t in bind.items()})
 
 
 def _position_of_existential(t: TGD) -> Optional[tuple[Predicate, int]]:
@@ -100,15 +115,19 @@ def _position_of_existential(t: TGD) -> Optional[tuple[Predicate, int]]:
     return (head.predicate, head.args.index(z))
 
 
-def _shared_variables(q: CQ) -> set[Variable]:
-    """Free variables plus variables with two or more body occurrences."""
-    counts: dict[Variable, int] = {}
-    for a in q.body:
-        for t in a.args:
-            if isinstance(t, Variable):
-                counts[t] = counts.get(t, 0) + 1
-    shared = {v for v, c in counts.items() if c >= 2}
-    shared |= q.answer_variables()
+def _shared_variables(q: CQ) -> frozenset[Variable]:
+    """Free variables plus variables with two or more body occurrences,
+    cached on the query."""
+    shared = getattr(q, "_shared", None)
+    if shared is None:
+        counts: dict[Variable, int] = {}
+        for a in q.body:
+            for t in a.args:
+                if isinstance(t, Variable):
+                    counts[t] = counts.get(t, 0) + 1
+        shared = frozenset([v for v, c in counts.items() if c >= 2]
+                           ).union(q.answer_variables())
+        object.__setattr__(q, "_shared", shared)
     return shared
 
 
@@ -194,26 +213,54 @@ def is_factorizable(S: Iterable[Atom], t: TGD, q: CQ) -> bool:
     return True
 
 
+def _resolve(bind: dict[str, Term]) -> dict[str, Term]:
+    """The most general unifier of a ``_unify`` binding: each bound
+    variable's name mapped to the end of its chain. ``_unify`` binds only
+    variables that are unbound, to a different term, so chains end."""
+    return {n: _end(bind, t) for n, t in bind.items()}
+
+
+def _apply_terms(sub: dict[str, Term], terms: tuple[Term, ...]) -> tuple[Term, ...]:
+    return tuple([sub.get(t.name, t) if t.__class__ is Variable else t
+                  for t in terms])
+
+
+def _apply(sub: dict[str, Term], atoms: Iterable[Atom]) -> frozenset[Atom]:
+    """``sub`` applied to atoms; an atom without a bound variable is kept
+    as it is, with its cached hash."""
+    out = []
+    for a in atoms:
+        args = _apply_terms(sub, a.args)
+        out.append(a if args == a.args else Atom(a.predicate, args))
+    return frozenset(out)
+
+
 def rewrite_step(q: CQ, S: Iterable[Atom], t: TGD, step_index: int) -> CQ:
     """Resolve S in q using the step-renamed tgd; answers follow the MGU."""
     S = frozenset(S)
     suffix = f"{RENAME_SEP}{step_index}"
     (head,) = t.head
-    unifier = mgu(sorted_atoms(S) + [_rename_apart(head, suffix)])
-    if unifier is None:
+    bind = None
+    if all(a.predicate == head.predicate for a in S):
+        bind = _unify([*S, _rename_apart(head, suffix)])
+    if bind is None:
         raise ValueError("rewrite_step on a non-applicable pair")
-    new_body = unifier.apply_atoms(
-        (q.body - S).union(_rename_apart(a, suffix) for a in t.body))
-    answers = tuple(unifier.apply_term(t) for t in q.answers)
-    return CQ(answers, new_body)
+    sub = _resolve(bind)
+    body = _apply(sub, itertools.chain(
+        q.body - S, (_rename_apart(a, suffix) for a in t.body)))
+    return CQ(_apply_terms(sub, q.answers), body)
 
 
 def factorize_step(q: CQ, S: Iterable[Atom]) -> CQ:
     """Apply the MGU of S to the whole query."""
-    unifier = mgu(sorted_atoms(S))
-    if unifier is None:
+    S = list(S)
+    bind = None
+    if S and all(a.predicate == S[0].predicate for a in S):
+        bind = _unify(S)
+    if bind is None:
         raise ValueError("factorize_step on a non-unifiable set")
-    return unifier.apply_cq(q)
+    sub = _resolve(bind)
+    return CQ(_apply_terms(sub, q.answers), _apply(sub, q.body))
 
 
 # -- canonical keys of CQs --------------------------------------------------
@@ -265,15 +312,16 @@ class _Labelling:
     """
 
     def __init__(self, q: CQ):
-        counts: dict[Variable, int] = {}
+        # variables by name, which hashes without a call into Python code
+        counts: dict[str, int] = {}
         for a in q.body:
             for t in a.args:
                 if isinstance(t, Variable):
-                    counts[t] = counts.get(t, 0) + 1
+                    counts[t.name] = counts.get(t.name, 0) + 1
         for t in q.answers:
             if isinstance(t, Variable):
-                counts[t] = 2  # an answer variable is never a wildcard
-        number: dict[Variable, int] = {}
+                counts[t.name] = 2  # an answer variable is never a wildcard
+        number: dict[str, int] = {}
         for v, c in counts.items():
             if c > 1:
                 number[v] = len(number)
@@ -281,10 +329,10 @@ class _Labelling:
         # per atom: its text up to the arguments, and each argument as the
         # number of a labelled variable or as its text
         self.atoms = [(f"{a.predicate.name!r}/{a.predicate.arity}(",
-                       [number.get(t, "_") if isinstance(t, Variable)
+                       [number.get(t.name, "_") if isinstance(t, Variable)
                         else repr(t.name) for t in a.args]) for a in q.body]
-        self.answers = [number[t] if isinstance(t, Variable) else repr(t.name)
-                        for t in q.answers]
+        self.answers = [number[t.name] if isinstance(t, Variable)
+                        else repr(t.name) for t in q.answers]
 
     def encode(self, cell_of: list[int]) -> str:
         labels = [str(c) for c in cell_of]
@@ -496,15 +544,16 @@ def _predicate_subsets(pool: list[Atom], smallest: int):
         yield from itertools.combinations(pool, size)
 
 
-def _step_subsets(q: CQ, t: TGD, pool: list[Atom]):
-    """The subsets of ``pool``, the sorted atoms of q over the head
-    predicate of ``t``, that ``t`` may resolve, then those it may
-    factorize, each with its kind of step."""
+def _step_subsets(t: TGD, pool: list[Atom]):
+    """The subsets of ``pool``, the sorted atoms of a query over the head
+    predicate of ``t``, that a step with ``t`` may use, each with its kind
+    of step: every subset for a rewriting, then those of two or more atoms
+    for a factorization when ``t`` has an existential variable (no
+    factorization serves a full tgd)."""
     for S in _predicate_subsets(pool, 1):
-        if is_applicable(t, S, q):
-            yield "rewrite", S
-    for S in _predicate_subsets(pool, 2):
-        if is_factorizable(S, t, q):
+        yield "rewrite", S
+    if t.exist_vars:
+        for S in _predicate_subsets(pool, 2):
             yield "factorize", S
 
 
@@ -512,11 +561,12 @@ def _xrewrite_cq(q0: CQ, tgds: Sequence[TGD], s_preds: frozenset[Predicate],
                  budget: int, trace: Optional[Callable]) -> list[CQ]:
     """The rewritings of q0 over the data schema: the breadth-first closure
     under steps, where a rewriting is new unless it repeats a rewriting and
-    a factorization unless it repeats either."""
+    a factorization unless it repeats either. Each candidate subset tested
+    counts against the budget."""
     entries: list[tuple[CQ, str]] = [(q0, "rewrite")]  # (query, kind of step)
     dedup = _Dedup()
     dedup.add(q0, "rewrite")
-    steps = 0
+    tested = 0
     rename_counter = itertools.count(1)
     for q, _ in entries:  # entries grows while it is walked
         by_predicate: dict[Predicate, list[Atom]] = {}
@@ -525,16 +575,21 @@ def _xrewrite_cq(q0: CQ, tgds: Sequence[TGD], s_preds: frozenset[Predicate],
         for t in tgds:
             (head,) = t.head
             pool = by_predicate.get(head.predicate, [])
-            for kind, S in _step_subsets(q, t, pool):
-                steps += 1
-                if steps > budget:
+            for kind, S in _step_subsets(t, pool):
+                tested += 1
+                if tested > budget:
                     raise BudgetExhausted(
-                        f"rewriting exceeded {budget} steps",
+                        f"rewriting tested more than {budget} candidate "
+                        "subsets of query atoms",
                         partial=[e for e, k in entries if k == "rewrite"])
                 if kind == "rewrite":
+                    if not is_applicable(t, S, q):
+                        continue
                     produced = rewrite_step(q, S, t, next(rename_counter))
                     repeats = ("rewrite",)
                 else:
+                    if not is_factorizable(S, t, q):
+                        continue
                     produced = factorize_step(q, S)
                     repeats = ("rewrite", "factorize")
                 if dedup.has(produced, repeats):
@@ -570,8 +625,9 @@ def xrewrite(omq: OMQ, budget: Optional[int] = None,
     query). For linear, non-recursive and sticky rule sets the result
     evaluated over any database equals the certain answers; for other rule
     sets it warns that the rewriting may not terminate. The step ``budget``
-    must be at least 1. Nothing is memoized: a caller that needs one
-    rewriting many times keeps it (see ``evaluate.prepare``).
+    bounds the candidate subsets tested per query disjunct (see the module
+    docstring) and must be at least 1. Nothing is memoized: a caller that
+    needs one rewriting many times keeps it (see ``evaluate.prepare``).
     """
     if not classify(omq.tgds).ucq_rewritable:
         warnings.warn(

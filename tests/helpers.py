@@ -9,7 +9,7 @@ from omq.evaluate import prepare
 from omq.model import (CQ, TGD, Atom, Constant, Database, Instance, Predicate,
                        Variable, active_domain, sorted_atoms)
 from omq.parser import _IDENT_RE, _NUMBER_RE, Token
-from omq.rewrite import cq_isomorphic
+from omq.rewrite import RENAME_SEP, _rename_apart, cq_isomorphic, mgu
 from omq.testkit import enumerate_databases
 
 
@@ -159,6 +159,30 @@ def reference_isomorphic(q1: CQ, q2: CQ) -> bool:
     return search(0, set())
 
 
+def reference_rewrite_step(q: CQ, S, t: TGD, step_index: int) -> CQ:
+    """``rewrite_step`` before it applied the unifier itself: the MGU of the
+    sorted S and the step-renamed head as a normalized ``Substitution``,
+    applied to the rest of q, the step-renamed body of t and the answers."""
+    S = frozenset(S)
+    suffix = f"{RENAME_SEP}{step_index}"
+    (head,) = t.head
+    unifier = mgu(sorted_atoms(S) + [_rename_apart(head, suffix)])
+    if unifier is None:
+        raise ValueError("rewrite_step on a non-applicable pair")
+    new_body = unifier.apply_atoms(
+        (q.body - S).union(_rename_apart(a, suffix) for a in t.body))
+    return CQ(tuple(unifier.apply_term(t) for t in q.answers), new_body)
+
+
+def reference_factorize_step(q: CQ, S) -> CQ:
+    """``factorize_step`` before it applied the unifier itself: the MGU of
+    the sorted S as a ``Substitution``, applied to the whole query."""
+    unifier = mgu(sorted_atoms(S))
+    if unifier is None:
+        raise ValueError("factorize_step on a non-unifiable set")
+    return unifier.apply_cq(q)
+
+
 def tgd_isomorphic(t1: TGD, t2: TGD) -> bool:
     """Equality modulo bijective variable renaming, respecting the
     body/head split (and thereby frontier and existentials)."""
@@ -259,4 +283,14 @@ tgds t {
   T(x) -> P(x).
 }
 query q(x) :- R(x,y), P(y).
+"""
+
+# the class-any OMQ that random_omq draws for seed 89 with at most 3
+# predicates of arity at most 2, 3 rules and 2 query atoms: every rewriting
+# step adds an atom, so the subsets to test double at each level and the
+# rewriting never ends
+SEED89 = """
+schema { p1/2 }
+tgds t { p1(y, u), p1(z, z) -> exists V1 . p1(V1, u). }
+query q(y) :- p1(x, y), p1(z, y).
 """

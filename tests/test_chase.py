@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import SECTION41
 from omq.chase import (chase_bounded, chase_nr, chase_step, find_triggers,
@@ -9,7 +11,7 @@ from omq.classify import classify
 from omq.errors import InactiveTrigger, PreconditionViolated
 from omq.evaluate import certain_answers, evaluate_ucq, prepare
 from omq.model import (CQ, OMQ, TGD, Atom, Constant, Database, Instance,
-                       Null, Variable, atom, tgds_schema)
+                       Null, Predicate, Schema, Variable, atom, tgds_schema)
 from omq.parser import parse_program
 from omq.testkit import GeneratorConfig, enumerate_databases, random_omq
 
@@ -184,6 +186,56 @@ def test_normalize_preserves_certain_answers():
         for db in enumerate_databases(omq.data_schema, 2, 2):
             assert (certain_answers(omq, db, strategy="chase")
                     == certain_answers(normal, db, strategy="chase")), seed
+
+
+NR_PREDICATES = [Predicate(f"p{i}", 1 + i % 2) for i in range(4)]
+NR_VARIABLES = [Variable(n) for n in ("x", "y", "z")]
+NR_EXISTENTIALS = [Variable(n) for n in ("e1", "e2")]
+NR_CONSTANTS = [Constant(f"c{i}") for i in range(3)]
+
+
+def atoms_over(preds, terms, min_size, max_size):
+    return st.lists(st.sampled_from(preds).flatmap(
+        lambda p: st.tuples(*[st.sampled_from(terms)] * p.arity).map(
+            lambda args: Atom(p, args))), min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def nr_rules(draw):
+    """A non-recursive rule: its body uses only predicates before a split
+    of ``NR_PREDICATES`` and its head only those after, with up to three
+    head atoms and up to two existential variables, which may repeat."""
+    split = draw(st.integers(1, len(NR_PREDICATES) - 1))
+    body = draw(atoms_over(NR_PREDICATES[:split], NR_VARIABLES + NR_CONSTANTS[:1], 0, 2))
+    body_vars = sorted({t for at in body for t in at.args if isinstance(t, Variable)},
+                       key=lambda t: t.name)
+    head = draw(atoms_over(NR_PREDICATES[split:],
+                           body_vars + NR_EXISTENTIALS + NR_CONSTANTS[:1], 1, 3))
+    return TGD.of(body, head)
+
+
+@st.composite
+def nr_omqs_and_databases(draw):
+    tgds = draw(st.lists(nr_rules(), min_size=1, max_size=3))
+    body = draw(atoms_over(NR_PREDICATES, NR_VARIABLES + NR_CONSTANTS[:1], 1, 2))
+    body_vars = sorted({t for at in body for t in at.args if isinstance(t, Variable)},
+                       key=lambda t: t.name)
+    answers = draw(st.lists(st.sampled_from(body_vars), max_size=2)) if body_vars else []
+    omq = OMQ(Schema(NR_PREDICATES), tuple(tgds), CQ(answers, body))
+    facts = draw(atoms_over(NR_PREDICATES, NR_CONSTANTS, 0, 6))
+    return omq, Database(facts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nr_omqs_and_databases())
+def test_normalization_preserves_chase_answers(omq_and_db):
+    """Certain answers by ``chase_nr`` over non-recursive rules with
+    several head atoms and existential variables equal those over their
+    head normal form, which adds auxiliary predicates."""
+    omq, db = omq_and_db
+    normal = normalize_tgds(omq.tgds)
+    assert (evaluate_ucq(omq.query, chase_nr(db, omq.tgds).instance)
+            == evaluate_ucq(omq.query, chase_nr(db, normal).instance))
 
 
 def test_chase_nr_satisfies_random():

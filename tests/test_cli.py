@@ -8,7 +8,7 @@ import pytest
 
 import omq
 
-from helpers import SECTION41
+from helpers import SECTION41, SEED89
 from omq import testkit
 from omq.cli import main
 from omq.evaluate import eval_membership
@@ -239,6 +239,17 @@ def test_budget_below_one_exits_2(prog_path, budget):
         assert done.stderr.startswith(
             "error: the rewriting step budget must be at least 1")
         assert "Traceback" not in done.stderr
+
+
+def test_budget_bounds_a_doubling_rewriting(tmp_path):
+    path = tmp_path / "seed89.omq"
+    path.write_text(SEED89)
+    done = run_process("rewrite", str(path), "q", "--budget", "100", timeout=10)
+    assert done.returncode == 2
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: rewriting tested more than 100 candidate "
+                      "subsets of query atoms"]
+    assert "Traceback" not in done.stderr
 
 
 def test_family_above_cap_exits_2_promptly():

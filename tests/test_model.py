@@ -1,6 +1,15 @@
+import copy
+import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import omq
 
 from omq.errors import ModelError
 from omq.model import (CQ, OMQ, TGD, UCQ, Atom, Constant, Database, Instance,
@@ -181,3 +190,51 @@ def test_omq_rejects_arity_conflicts():
     schema = Schema([Predicate("P", 1)])
     with pytest.raises(ModelError):
         OMQ(schema, (), CQ((), [atom("P", a, b)]))
+
+
+def test_equal_terms_and_atoms_hash_equal():
+    pairs = [(Variable("x"), Variable("x")), (Constant("a"), Constant("a")),
+             (Predicate("R", 2), Predicate("R", 2)),
+             (atom("R", x, a), atom("R", Variable("x"), Constant("a"))),
+             (atom("R", x, a), dataclasses.replace(atom("R", y, a), args=(x, a))),
+             (Predicate("R", 2), dataclasses.replace(Predicate("R", 3), arity=2))]
+    for first, second in pairs:
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
+    # a term is not equal to a term of another kind with the same name
+    assert Variable("a") != a and len({Variable("a"), a}) == 2
+    assert atom("R", x, a) != atom("R", a, x) != Atom(Predicate("R", 3), (a, x, x))
+
+
+def test_copies_carry_no_cached_hash():
+    at = atom("R", x, a)
+    hash(at)
+    for clone in (pickle.loads(pickle.dumps(at)), copy.copy(at),
+                  copy.deepcopy(at), dataclasses.replace(at)):
+        assert "_hash" not in vars(clone)
+        assert clone == at and hash(clone) == hash(atom("R", x, a))
+
+
+UNPICKLE = """
+import pickle, sys
+from omq.model import CQ, Constant, Variable, atom
+at, q = pickle.loads(sys.stdin.buffer.read())
+fresh = atom("R", Variable("x"), Constant("a"))
+assert hash(at) == hash(fresh) and fresh in q.body
+assert q == CQ((Variable("x"),), [fresh, atom("P", Variable("x"))])
+print("ok")
+"""
+
+
+def test_pickle_hashes_like_a_fresh_atom_under_another_hash_seed():
+    at = atom("R", x, a)
+    q = CQ((x,), [at, atom("P", x)])
+    hash(at)
+    src = str(Path(omq.__file__).resolve().parent.parent)
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+    done = subprocess.run([sys.executable, "-c", UNPICKLE],
+                          input=pickle.dumps((at, q)), capture_output=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.strip() == b"ok"

@@ -2,7 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SECTION41, reference_isomorphic, same_disjunct_sets
+from helpers import (SECTION41, SEED89, reference_factorize_step,
+                     reference_isomorphic, reference_rewrite_step,
+                     same_disjunct_sets)
+from omq import rewrite
 from omq.chase import normalize_tgds
 from omq.errors import BudgetExhausted, PreconditionViolated, UnsupportedClass
 from omq.evaluate import certain_answers, evaluate_ucq
@@ -135,6 +138,59 @@ def test_rewrite_step_with_fact_tgd_empties_body():
     assert out.body == frozenset() and out.answers == ()
 
 
+STEP_PREDICATES = [Predicate("P", 2), Predicate("R", 3)]
+# query variables, some named like step-renamed ones, and a constant
+STEP_QUERY_TERMS = [x, y, z, Variable("x#1"), Variable("y#2"), a]
+STEP_RULE_TERMS = [u, v, x, Variable("u#1"), b]
+
+
+def step_atoms(terms, max_size):
+    return st.lists(st.sampled_from(STEP_PREDICATES).flatmap(
+        lambda p: st.tuples(*[st.sampled_from(terms)] * p.arity).map(
+            lambda args: Atom(p, args))), max_size=max_size)
+
+
+@st.composite
+def step_inputs(draw):
+    """A query with repeated variables, constants and constant answers, a
+    subset S of its body, a rule with at most one existential variable in
+    its head and a step index that may rename rule variables onto query
+    ones. S mostly shares the head's predicate, and may clash."""
+    body = draw(step_atoms(STEP_QUERY_TERMS, 5).filter(bool))
+    body_vars = sorted({t for at in body for t in at.args
+                        if isinstance(t, Variable)}, key=lambda t: t.name)
+    answers = draw(st.lists(st.sampled_from(body_vars + [a, b]), max_size=3))
+    q = CQ(answers, body)
+    rule_body = draw(step_atoms(STEP_RULE_TERMS, 2))
+    rule_vars = sorted({t for at in rule_body for t in at.args
+                        if isinstance(t, Variable)}, key=lambda t: t.name)
+    pred = draw(st.sampled_from(STEP_PREDICATES))
+    head_terms = rule_vars + [b, w]
+    head_args = draw(st.tuples(*[st.sampled_from(head_terms)] * pred.arity)
+                     .filter(lambda args: args.count(w) <= 1))
+    rule = TGD.of(rule_body, [Atom(pred, head_args)])
+    over_head = sorted(at for at in q.body if at.predicate == pred)
+    pool = over_head if over_head and draw(st.booleans()) else sorted(q.body)
+    S = draw(st.lists(st.sampled_from(pool), unique=True, min_size=1, max_size=3))
+    return q, S, rule, draw(st.integers(1, 3))
+
+
+def outcome(step, *args):
+    try:
+        return step(*args)
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_inputs())
+def test_steps_equal_the_substitution_reference(inputs):
+    q, S, rule, step_index = inputs
+    assert (outcome(rewrite_step, q, S, rule, step_index)
+            == outcome(reference_rewrite_step, q, S, rule, step_index))
+    assert outcome(factorize_step, q, S) == outcome(reference_factorize_step, q, S)
+
+
 def test_xrewrite_worked_example_exact():
     disjuncts = xrewrite(OMQ41)
     expected = [CQ((x,), [atom("P", x)]), CQ((x,), [atom("T", x)])]
@@ -178,6 +234,21 @@ def test_xrewrite_budget_exhausted():
     assert isinstance(e.value.partial, tuple)
     with pytest.raises(PreconditionViolated):
         xrewrite(OMQ41, budget=0)
+
+
+def test_budget_bounds_the_subsets_tested(monkeypatch):
+    tested = []
+    for name in ("is_applicable", "is_factorizable"):
+        def counted(*args, test=getattr(rewrite, name)):
+            tested.append(args)
+            return test(*args)
+        monkeypatch.setattr(rewrite, name, counted)
+    omq = parse_program(SEED89).omq("q")
+    for budget in (1, 25, 100, 1000):
+        tested.clear()
+        with pytest.raises(BudgetExhausted, match="candidate subsets"):
+            rewrite._xrewrite(omq, budget=budget)
+        assert len(tested) == budget
 
 
 def test_xrewrite_warns_outside_rewritable_classes():
