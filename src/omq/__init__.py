@@ -22,14 +22,15 @@ from .classify import (ClassReport, MarkedVariableSet, NotStratifiable,
                        is_non_recursive, is_sticky, marked_variables, stratify)
 from .chase import (ChaseResult, Trigger, chase_bounded, chase_nr, chase_step,
                     find_triggers, normalize_tgds, satisfies)
-from .rewrite import (DEFAULT_BUDGET, WitnessBound, cq_isomorphic, cq_key,
-                      factorize_step, is_applicable, is_factorizable, mgu,
-                      rewrite_step, witness_bound, xrewrite)
-from .evaluate import (certain_answers, eval_membership, evaluate_cq,
+from .rewrite import (DEFAULT_BUDGET, cq_isomorphic, cq_key, factorize_step,
+                      is_applicable, is_factorizable, mgu, rewrite_step,
+                      xrewrite)
+from .evaluate import (Prepared, certain_answers, eval_membership, evaluate_cq,
                        evaluate_ucq, prepare)
-from .contain import (ContainmentVerdict, brute_force_contains, contains,
-                      coeval_to_cocontainment, equivalent, eval_to_containment,
-                      is_unsatisfiable, ucq_omq_to_cq_omq)
+from .contain import (ContainmentVerdict, WitnessBound, brute_force_contains,
+                      contains, coeval_to_cocontainment, equivalent,
+                      eval_to_containment, is_unsatisfiable, ucq_omq_to_cq_omq,
+                      witness_bound)
 from .apps import (CQComponents, DistributionVerdict, components,
                    cq_components, distributes, distribution_definitional_check)
 from .testkit import (GeneratorConfig, count_databases, enumerate_databases,

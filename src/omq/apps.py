@@ -9,14 +9,13 @@ query (kept with the full answer tuple) is contained in the whole query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .contain import rewriting_contained, ucq_omq_to_cq_omq
 from .errors import EmptyBody, ZeroAryAtom
-from .evaluate import prepare, ucq_evaluator
+from .evaluate import prepare
 from .model import CQ, OMQ, UCQ, Atom, Database
-from .rewrite import _xrewrite, require_rewritable
 
 
 def components(atoms: Iterable[Atom]) -> list[frozenset[Atom]]:
@@ -104,19 +103,18 @@ def distributes(omq: OMQ, budget: Optional[int] = None) -> DistributionVerdict:
     if isinstance(query, UCQ):
         query = query.disjuncts[0]
         omq = OMQ(omq.data_schema, omq.tgds, query)
-    require_rewritable(omq)
-    rewriting = _xrewrite(omq, budget=budget)
-    if not rewriting:
+    whole = prepare(omq, budget=budget)
+    if not whole.rewriting:
         return DistributionVerdict(True, unsatisfiable=True)
     if query.is_true_query():
         return DistributionVerdict(False)
     parts = cq_components(query)
-    whole = ucq_evaluator(rewriting)
     for comp in parts.safe:
-        # a query is contained in itself: a lone component needs no check
-        if comp == query or rewriting_contained(
-                _xrewrite(OMQ(omq.data_schema, omq.tgds, comp), budget=budget),
-                whole).contained:
+        # a query is contained in itself: a lone component needs no check;
+        # a component shares the rules, so it shares the class report
+        part = replace(whole, omq=OMQ(omq.data_schema, omq.tgds, comp))
+        if comp == query or rewriting_contained(part.rewriting,
+                                                whole).contained:
             return DistributionVerdict(True, witness=comp,
                                        unsafe_components=parts.unsafe)
     return DistributionVerdict(False, unsafe_components=parts.unsafe)

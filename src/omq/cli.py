@@ -19,7 +19,7 @@ from . import apps, contain, testkit
 from .chase import chase_bounded, chase_nr
 from .classify import classify
 from .errors import OmqError
-from .evaluate import certain_answers, eval_membership
+from .evaluate import certain_answers, eval_membership, prepare
 from .model import Atom, Constant, Database, OMQ, as_ucq
 from .parser import (parse_program, render_database, render_query_clause,
                      serialize_program)
@@ -151,9 +151,9 @@ def cmd_eval(args) -> int:
 
 def cmd_contains(args) -> int:
     program = _load(args)
-    q1 = _pick_query(program, args.query1)
-    q2 = _pick_query(program, args.query2)
-    verdict = contain.contains(q1, q2, budget=_budget(args))
+    q1, q2 = [_pick_query(program, q) for q in (args.query1, args.query2)]
+    q1, q2 = [prepare(q, budget=_budget(args)) for q in (q1, q2)]
+    verdict = contain.contains(q1, q2)
     payload = {"version": VERSION, "contained": verdict.contained}
     lines = [f"contained: {verdict.contained}"]
     if verdict.counterexample:
@@ -171,20 +171,15 @@ def cmd_contains(args) -> int:
             max_atoms = contain.witness_bound(q1).value
         max_constants = args.max_constants
         if max_constants is None:
-            max_constants = _oracle_constants(q1, _budget(args))
-        oracle = contain.brute_force_contains(
-            q1, q2, max_constants, max_atoms, budget=_budget(args))
+            # enough constants to freeze the largest disjunct of q1's rewriting
+            max_constants = max((len(d.variables()) + len(d.constants())
+                                 for d in q1.rewriting), default=1)
+        oracle = contain.brute_force_contains(q1, q2, max_constants, max_atoms)
         payload["oracleAgrees"] = oracle.contained == verdict.contained
         payload["oracleExact"] = oracle.exact
         lines.append(f"oracleAgrees: {payload['oracleAgrees']}")
     _emit(args, payload, lines)
     return 0 if verdict.contained else 1
-
-
-def _oracle_constants(q1: OMQ, budget: int) -> int:
-    """Enough constants to freeze the largest disjunct of q1's rewriting."""
-    return max((len(d.variables()) + len(d.constants())
-                for d in xrewrite(q1, budget=budget)), default=1)
 
 
 def cmd_distributes(args) -> int:

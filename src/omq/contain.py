@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (PreconditionViolated, SchemaMismatch, UnsupportedClass)
-from .evaluate import prepare, ucq_evaluator
+from .evaluate import Prepared, prepare
 from .model import (CQ, OMQ, TGD, UCQ, Atom, Constant, Database, Predicate,
                     Schema, Substitution, Term, Variable, active_domain,
                     as_ucq, freeze_cq, sorted_atoms, tgds_schema)
-from .rewrite import _xrewrite, require_rewritable, witness_bound
 
 
 @dataclass(frozen=True)
@@ -38,21 +37,17 @@ def _check_compatible(q1: OMQ, q2: OMQ):
             f"answer arities differ: {q1.arity} vs {q2.arity}")
 
 
-def contains(q1: OMQ, q2: OMQ, budget: Optional[int] = None) -> ContainmentVerdict:
+def contains(q1: OMQ | Prepared, q2: OMQ | Prepared,
+             budget: Optional[int] = None) -> ContainmentVerdict:
     """Does Q1(D) <= Q2(D) hold on every database over the shared schema?
 
     Freezes each disjunct of Q1's rewriting and asks whether the frozen
     tuple is certain for Q2 over the frozen database; the first failure is
-    returned as a counterexample.
+    returned as a counterexample. Q2 is rewritten only when a disjunct asks.
     """
-    _check_compatible(q1, q2)
-    require_rewritable(q1)
-    require_rewritable(q2)
-    disjuncts = _xrewrite(q1, budget=budget)
-    if not disjuncts:  # contained in anything; q2 need not be rewritten
-        return ContainmentVerdict(True, None)
-    return rewriting_contained(disjuncts,
-                               ucq_evaluator(_xrewrite(q2, budget=budget)))
+    left, right = prepare(q1, budget=budget), prepare(q2, budget=budget)
+    _check_compatible(left.omq, right.omq)
+    return rewriting_contained(left.rewriting, right)
 
 
 def rewriting_contained(disjuncts: Iterable[CQ],
@@ -67,16 +62,56 @@ def rewriting_contained(disjuncts: Iterable[CQ],
     return ContainmentVerdict(True, None)
 
 
-def equivalent(q1: OMQ, q2: OMQ, budget: Optional[int] = None) -> bool:
-    return (contains(q1, q2, budget).contained
-            and contains(q2, q1, budget).contained)
+def equivalent(q1: OMQ | Prepared, q2: OMQ | Prepared,
+               budget: Optional[int] = None) -> bool:
+    p1, p2 = prepare(q1, budget=budget), prepare(q2, budget=budget)
+    return contains(p1, p2).contained and contains(p2, p1).contained
 
 
-def is_unsatisfiable(omq: OMQ, budget: Optional[int] = None) -> bool:
+def is_unsatisfiable(omq: OMQ | Prepared, budget: Optional[int] = None) -> bool:
     """No database over the data schema makes the query non-empty:
     equivalently, the rewriting keeps no disjunct over the data schema."""
-    require_rewritable(omq)
-    return len(_xrewrite(omq, budget=budget)) == 0
+    return not prepare(omq, budget=budget).rewriting
+
+
+# -- witness-size bounds ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WitnessBound:
+    value: int
+    formula: str
+
+
+def witness_bound(q: OMQ | Prepared) -> WitnessBound:
+    """Atom-count bound on databases witnessing non-containment with this
+    query on the left; the tightest applicable class formula wins."""
+    prepared = prepare(q)
+    report, omq = prepared.report, prepared.omq
+    ucq = as_ucq(omq.query)
+    q_atoms = max(len(d.body) for d in ucq.disjuncts)
+    candidates: list[tuple[int, str]] = []
+    if report.linear:
+        candidates.append((max(1, q_atoms), "linear"))
+    if report.non_recursive:
+        max_body = max((len(t.body) for t in omq.tgds), default=1)
+        sch_size = len(tgds_schema(omq.tgds))
+        candidates.append(
+            (max(1, q_atoms * max(1, max_body) ** sch_size), "non-recursive"))
+    if report.sticky:
+        terms: set = set()
+        for d in ucq.disjuncts:
+            terms |= d.variables()
+            terms |= d.constants()
+        consts_sigma = set()
+        for t in omq.tgds:
+            consts_sigma |= t.constants()
+        ar = omq.data_schema.max_arity()
+        candidates.append(
+            (max(1, len(omq.data_schema)
+                 * (len(terms) + len(consts_sigma) + 1) ** ar), "sticky"))
+    value, formula = min(candidates)
+    return WitnessBound(value, formula)
 
 
 # -- reductions between evaluation and containment ---------------------------
@@ -306,7 +341,8 @@ def _canonical_database(db: Database) -> Database:
                     for a in db)
 
 
-def brute_force_contains(q1: OMQ, q2: OMQ, max_constants: int, max_atoms: int,
+def brute_force_contains(q1: OMQ | Prepared, q2: OMQ | Prepared,
+                         max_constants: int, max_atoms: int,
                          budget: Optional[int] = None) -> ContainmentVerdict:
     """Independent containment oracle: enumerate every database over
     ``max_constants`` constants with at most ``max_atoms`` atoms and compare
@@ -318,22 +354,21 @@ def brute_force_contains(q1: OMQ, q2: OMQ, max_constants: int, max_atoms: int,
     """
     from .testkit import enumerate_databases
 
+    left_answers, right_answers = (prepare(q1, budget=budget),
+                                   prepare(q2, budget=budget))
+    q1, q2 = left_answers.omq, right_answers.omq
     _check_compatible(q1, q2)
-    exact = max_atoms >= witness_bound(q1).value
+    exact = max_atoms >= witness_bound(left_answers).value
     constant_free = (
         all(not t.constants() for t in itertools.chain(q1.tgds, q2.tgds))
         and all(not d.constants() for d in as_ucq(q1.query).disjuncts)
         and all(not d.constants() for d in as_ucq(q2.query).disjuncts))
-    left_answers = prepare(q1, budget=budget)
-    right_answers = None  # prepared on first need, as q2 may never be asked
     for db in enumerate_databases(q1.data_schema, max_constants, max_atoms):
         if constant_free and db.atoms and _canonical_database(db) != db:
             continue
         left = left_answers(db)
         if not left:
             continue
-        if right_answers is None:
-            right_answers = prepare(q2, budget=budget)
         missing = left - right_answers(db)
         if missing:
             return ContainmentVerdict(False, (db, min(missing)), exact)

@@ -4,15 +4,17 @@ chase (non-recursive sets) or via UCQ rewriting (linear/NR/sticky).
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional, Sequence
 
 from . import homs
 from .chase import chase_nr
-from .classify import classify
+from .classify import ClassReport, classify
 from .errors import SchemaMismatch, UnsupportedClass
 from .model import (CQ, OMQ, UCQ, Constant, Database, Instance, Variable,
                     as_ucq, sorted_atoms)
-from .rewrite import _xrewrite, require_rewritable
+from .rewrite import _xrewrite
 
 AnswerSet = frozenset  # of tuples of Constant
 
@@ -50,35 +52,54 @@ def evaluate_ucq(q: CQ | UCQ, instance: Instance | Database,
     return frozenset(out)
 
 
-def prepare(omq: OMQ, strategy: str = "auto",
-            budget: Optional[int] = None) -> Callable[[Database], AnswerSet]:
-    """The function D -> Q(D), with the OMQ classified, and under rewriting
-    rewritten, once. Use it to evaluate one OMQ over many databases.
+@dataclass(frozen=True)
+class Prepared:
+    """An OMQ classified once, its UCQ rewriting computed on first need and
+    kept. Called on a database it gives Q(D): by the chase under strategy
+    ``chase``, otherwise over the rewriting."""
+
+    omq: OMQ
+    report: ClassReport
+    strategy: str = "auto"
+    budget: Optional[int] = None
+
+    @cached_property
+    def rewriting(self) -> tuple[CQ, ...]:
+        return _xrewrite(self.omq, budget=self.budget)
+
+    @cached_property
+    def _ucq(self) -> Optional[UCQ]:
+        return UCQ(self.rewriting) if self.rewriting else None
+
+    def __call__(self, db: Database) -> AnswerSet:
+        if self.strategy == "chase":
+            result = chase_nr(db, self.omq.tgds)
+            return evaluate_ucq(self.omq.query, result.instance, result._index)
+        return evaluate_ucq(self._ucq, db) if self._ucq else frozenset()
+
+
+def prepare(omq: OMQ | Prepared, strategy: str = "auto",
+            budget: Optional[int] = None) -> Prepared:
+    """The OMQ as a ``Prepared``; one that is already prepared is returned
+    unchanged, keeping its own strategy and budget. Use it to evaluate one
+    OMQ over many databases, or to share its rewriting between decisions.
 
     ``strategy`` is ``chase`` (requires a non-recursive rule set),
-    ``rewriting`` (requires linear, non-recursive or sticky), or ``auto``,
-    which is rewriting: every non-recursive set is also rewritable.
+    ``rewriting`` (requires linear, non-recursive or sticky: the classes
+    with UCQ rewritings), or ``auto``, which is rewriting: every
+    non-recursive set is also rewritable.
     """
-    if strategy == "chase":
-        if not classify(omq.tgds).non_recursive:
-            raise UnsupportedClass("chase strategy needs a non-recursive rule set")
-        def chase_answers(db: Database) -> AnswerSet:
-            result = chase_nr(db, omq.tgds)
-            return evaluate_ucq(omq.query, result.instance, result._index)
-        return chase_answers
-    if strategy in ("auto", "rewriting"):
-        require_rewritable(omq)
-        return ucq_evaluator(_xrewrite(omq, budget=budget))
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def ucq_evaluator(disjuncts: Sequence[CQ]) -> Callable[[Database], AnswerSet]:
-    """D -> the answers of the UCQ over D, as for a rewriting; no
-    disjuncts answer nothing."""
-    if not disjuncts:
-        return lambda db: frozenset()
-    ucq = UCQ(disjuncts)
-    return lambda db: evaluate_ucq(ucq, db)
+    if isinstance(omq, Prepared):
+        return omq
+    if strategy not in ("auto", "rewriting", "chase"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    report = classify(omq.tgds)
+    if strategy == "chase" and not report.non_recursive:
+        raise UnsupportedClass("chase strategy needs a non-recursive rule set")
+    if not report.ucq_rewritable:
+        raise UnsupportedClass(
+            "rule set is none of linear/non-recursive/sticky")
+    return Prepared(omq, report, strategy, budget)
 
 
 def certain_answers(omq: OMQ, db: Database, strategy: str = "auto",

@@ -1,6 +1,5 @@
-"""MGU machinery, the applicability and factorizability side conditions, the
-resolution-based rewriting procedure producing UCQ rewritings, and the
-witness-size bound formulas for linear / non-recursive / sticky rule sets.
+"""MGU machinery, the applicability and factorizability side conditions, and
+the resolution-based rewriting procedure producing UCQ rewritings.
 
 Rewriting works on rules in head normal form (one head atom, at most one
 occurrence of one existential variable); ``xrewrite`` normalizes internally.
@@ -24,15 +23,13 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .chase import normalize_tgds
-from .classify import ClassReport, classify
-from .errors import BudgetExhausted, PreconditionViolated, UnsupportedClass
+from .classify import classify
+from .errors import BudgetExhausted, PreconditionViolated
 from .model import (CQ, OMQ, TGD, Atom, Predicate, Substitution, Term,
-                    Variable, as_ucq, atoms_variables, sorted_atoms,
-                    tgds_schema)
+                    Variable, as_ucq, atoms_variables, sorted_atoms)
 
 DEFAULT_BUDGET = 10 ** 6
 RENAME_SEP = "#"
@@ -604,18 +601,6 @@ def _xrewrite_cq(q0: CQ, tgds: Sequence[TGD], s_preds: frozenset[Predicate],
             if kind == "rewrite" and q.predicates() <= s_preds]
 
 
-def require_rewritable(omq: OMQ) -> ClassReport:
-    """The class report of the OMQ's rule set, which must be linear,
-    non-recursive or sticky: the classes with UCQ rewritings, on which
-    evaluation, containment, unsatisfiability and distribution are decided.
-    Raises ``UnsupportedClass`` otherwise."""
-    report = classify(omq.tgds)
-    if not report.ucq_rewritable:
-        raise UnsupportedClass(
-            "rule set is none of linear/non-recursive/sticky")
-    return report
-
-
 def xrewrite(omq: OMQ, budget: Optional[int] = None,
              trace: Optional[Callable] = None) -> tuple[CQ, ...]:
     """UCQ rewriting of the OMQ over its data schema.
@@ -627,7 +612,8 @@ def xrewrite(omq: OMQ, budget: Optional[int] = None,
     sets it warns that the rewriting may not terminate. The step ``budget``
     bounds the candidate subsets tested per query disjunct (see the module
     docstring) and must be at least 1. Nothing is memoized: a caller that
-    needs one rewriting many times keeps it (see ``evaluate.prepare``).
+    needs one rewriting many times prepares the OMQ once (``evaluate.prepare``)
+    and reads the ``rewriting`` of the ``Prepared``.
     """
     if not classify(omq.tgds).ucq_rewritable:
         warnings.warn(
@@ -639,8 +625,8 @@ def xrewrite(omq: OMQ, budget: Optional[int] = None,
 
 def _xrewrite(omq: OMQ, budget: Optional[int] = None,
               trace: Optional[Callable] = None) -> tuple[CQ, ...]:
-    """``xrewrite`` without the class check, for callers that passed
-    ``require_rewritable`` already."""
+    """``xrewrite`` without the class check, for ``evaluate.Prepared``,
+    whose ``prepare`` checked the class already."""
     if budget is None:
         budget = DEFAULT_BUDGET
     if budget < 1:
@@ -659,42 +645,3 @@ def _xrewrite(omq: OMQ, budget: Optional[int] = None,
                 seen.add(q, "rewrite")
                 out.append(q)
     return tuple(out)
-
-
-# -- witness-size bounds ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WitnessBound:
-    value: int
-    formula: str
-
-
-def witness_bound(omq: OMQ) -> WitnessBound:
-    """Atom-count bound on databases witnessing non-containment with this
-    query on the left; the tightest applicable class formula wins."""
-    report = require_rewritable(omq)
-    ucq = as_ucq(omq.query)
-    q_atoms = max(len(d.body) for d in ucq.disjuncts)
-    candidates: list[tuple[int, str]] = []
-    if report.linear:
-        candidates.append((max(1, q_atoms), "linear"))
-    if report.non_recursive:
-        max_body = max((len(t.body) for t in omq.tgds), default=1)
-        sch_size = len(tgds_schema(omq.tgds))
-        candidates.append(
-            (max(1, q_atoms * max(1, max_body) ** sch_size), "non-recursive"))
-    if report.sticky:
-        terms: set = set()
-        for d in ucq.disjuncts:
-            terms |= d.variables()
-            terms |= d.constants()
-        consts_sigma = set()
-        for t in omq.tgds:
-            consts_sigma |= t.constants()
-        ar = omq.data_schema.max_arity()
-        candidates.append(
-            (max(1, len(omq.data_schema)
-                 * (len(terms) + len(consts_sigma) + 1) ** ar), "sticky"))
-    value, formula = min(candidates)
-    return WitnessBound(value, formula)

@@ -169,25 +169,6 @@ def test_normalize_repeated_existential_in_one_atom():
             assert sum(1 for arg in head.args if arg == zz) == 1
 
 
-def _answers_over_original(omq, db):
-    originals = set(omq.data_schema.predicates) | tgds_schema(omq.tgds)
-    res = certain_answers(omq, db, strategy="chase")
-    return res
-
-
-def test_normalize_preserves_certain_answers():
-    for seed in range(30):
-        cfg = GeneratorConfig(seed=seed, max_predicates=2, max_arity=2,
-                              max_tgds=2, target_class="NR")
-        omq = random_omq(cfg)
-        normal = OMQ(omq.data_schema, tuple(normalize_tgds(omq.tgds)), omq.query)
-        if not classify(normal.tgds).non_recursive:
-            continue
-        for db in enumerate_databases(omq.data_schema, 2, 2):
-            assert (certain_answers(omq, db, strategy="chase")
-                    == certain_answers(normal, db, strategy="chase")), seed
-
-
 NR_PREDICATES = [Predicate(f"p{i}", 1 + i % 2) for i in range(4)]
 NR_VARIABLES = [Variable(n) for n in ("x", "y", "z")]
 NR_EXISTENTIALS = [Variable(n) for n in ("e1", "e2")]

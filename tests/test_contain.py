@@ -85,6 +85,8 @@ def test_contains_unsupported_class():
         contains(trans, same)
     with pytest.raises(UnsupportedClass):
         contains(same, trans)
+    with pytest.raises(UnsupportedClass):  # before any database is tried
+        brute_force_contains(same, trans, 1, 1)
 
 
 def test_eval_to_containment_examples():

@@ -1,10 +1,11 @@
+import json
 import random
 
 import pytest
 
 from helpers import SECTION41, naive_evaluate_cq
 from omq.errors import SchemaMismatch, UnsupportedClass
-from omq import apps, contain, evaluate, rewrite
+from omq import apps, cli, contain, evaluate, rewrite
 from omq.classify import classify
 from omq.evaluate import (certain_answers, eval_membership, evaluate_cq,
                           evaluate_ucq, prepare)
@@ -157,19 +158,27 @@ def test_nr_strategy_agreement_random():
                     == certain_answers(omq, db, strategy="rewriting")), seed
 
 
-def test_prepare_classifies_once(monkeypatch):
-    """Each decision classifies every rule set it is given exactly once."""
+def test_prepare_classifies_once(monkeypatch, tmp_path, capsys):
+    """Each decision classifies every rule set it is given exactly once,
+    and one ``Prepared`` rewrites its OMQ at most once for all of them."""
     calls = []
+    rewritten = []
 
     def counting(tgds):
         calls.append(tgds)
         return classify(tgds)
 
+    def counting_rewrite(omq, budget=None):
+        rewritten.append(omq)
+        return rewrite._xrewrite(omq, budget=budget)
+
     # also where classify is not imported, so that a new import is counted
-    for module in (evaluate, rewrite, contain, apps):
+    for module in (evaluate, rewrite, contain, apps, cli):
         monkeypatch.setattr(module, "classify", counting, raising=False)
-    prepare(OMQ41)
+    monkeypatch.setattr(evaluate, "_xrewrite", counting_rewrite)
+    prepared = prepare(OMQ41)
     assert len(calls) == 1
+    assert prepare(prepared) is prepared and len(calls) == 1
     rewrite.xrewrite(OMQ41)  # the public entry keeps its own class check
     assert len(calls) == 2
     calls.clear()
@@ -182,3 +191,19 @@ def test_prepare_classifies_once(monkeypatch):
     calls.clear()
     apps.distributes(OMQ41)
     assert calls == [OMQ41.tgds]
+    rewritten.clear()
+    assert contain.equivalent(OMQ41, OMQ41)
+    assert len(rewritten) == 2
+    # an empty left rewriting never asks for the right one, which would
+    # exhaust a budget of 1
+    never = OMQ(OMQ41.data_schema, (), CQ((x,), [atom("Z", x)]))
+    rewritten.clear()
+    assert contain.contains(never, OMQ41, budget=1).contained
+    assert rewritten == [never]
+    program = tmp_path / "prog.omq"
+    program.write_text(SECTION41 + "query r(x) :- P(x).\nquery r(x) :- T(x).\n")
+    calls.clear()
+    rewritten.clear()
+    assert cli.main(["contains", str(program), "q", "r", "--oracle"]) == 0
+    assert json.loads(capsys.readouterr().out)["oracleAgrees"]
+    assert len(calls) == 2 and len(rewritten) == 2

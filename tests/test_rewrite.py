@@ -7,6 +7,7 @@ from helpers import (SECTION41, SEED89, reference_factorize_step,
                      same_disjunct_sets)
 from omq import rewrite
 from omq.chase import normalize_tgds
+from omq.contain import witness_bound
 from omq.errors import BudgetExhausted, PreconditionViolated, UnsupportedClass
 from omq.evaluate import certain_answers, evaluate_ucq
 from omq.model import (CQ, OMQ, TGD, UCQ, Atom, Constant, Database,
@@ -14,7 +15,7 @@ from omq.model import (CQ, OMQ, TGD, UCQ, Atom, Constant, Database,
 from omq.parser import parse_program
 from omq.rewrite import (cq_isomorphic, cq_key, factorize_step,
                          is_applicable, is_factorizable, mgu, rewrite_step,
-                         witness_bound, xrewrite)
+                         xrewrite)
 from omq.testkit import GeneratorConfig, enumerate_databases, random_omq
 
 a, b = Constant("a"), Constant("b")
