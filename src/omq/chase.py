@@ -55,9 +55,11 @@ def find_triggers(instance: Instance, tgd: TGD, tgd_index: int = 0,
     A fact tgd yields the single empty-binding trigger.
     """
     out = []
+    # a binding maps variables to instance terms, never to variables, so it
+    # is resolved already
     for h in homs.homomorphisms(sorted_atoms(tgd.body), instance.atoms,
                                 index=index):
-        out.append(Trigger(tgd, tgd_index, Substitution(h)))
+        out.append(Trigger(tgd, tgd_index, Substitution._resolved(h)))
     out.sort(key=Trigger.sort_key)
     return out
 
@@ -72,8 +74,7 @@ def _fire(trigger: Trigger, nulls: NullFactory) -> frozenset[Atom]:
     ext = dict(trigger.binding.mapping)
     for z in sorted(trigger.tgd.exist_vars, key=lambda v: v.name):
         ext[z] = nulls.fresh()
-    sub = Substitution(ext)
-    return sub.apply_atoms(trigger.tgd.head)
+    return Substitution._resolved(ext).apply_atoms(trigger.tgd.head)
 
 
 def chase_step(instance: Instance, trigger: Trigger,

@@ -161,10 +161,9 @@ def marked_variables(tgds: Sequence[TGD]) -> MarkedVariableSet:
     Base: a body variable not occurring in some head atom of its tgd is
     marked. Propagation: if x occurs in head atom alpha and some body atom
     beta over alpha's predicate (in any tgd) has only marked variables at the
-    positions where alpha holds x, then x is marked. Tgds are renamed apart
-    internally, so marks are keyed by tgd index.
+    positions where alpha holds x, then x is marked. Marks are keyed by tgd
+    index, so tgds that share variable names need no renaming apart.
     """
-    tgds = [t.rename(f"@{i}") for i, t in enumerate(tgds)]
     marked: set[tuple[int, Variable]] = set()
     # base rule
     for i, t in enumerate(tgds):
@@ -198,9 +197,7 @@ def marked_variables(tgds: Sequence[TGD]) -> MarkedVariableSet:
                             break
                     if (i, v) in marked:
                         break
-    # report marks against the original (un-renamed) variable names
-    out = {(i, Variable(v.name[: v.name.rindex("@")])) for i, v in marked}
-    return MarkedVariableSet(frozenset(out))
+    return MarkedVariableSet(frozenset(marked))
 
 
 def is_sticky(tgds: Sequence[TGD]) -> tuple[bool, Optional[tuple[TGD, Variable]]]:

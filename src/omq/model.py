@@ -279,7 +279,7 @@ class CQ:
     def __init__(self, answers: Iterable[Term], body: Iterable[Atom]):
         answers = tuple(answers)
         body = frozenset(body)
-        body_vars = atoms_variables(body)
+        body_vars = frozenset(atoms_variables(body))
         for t in answers:
             if isinstance(t, Null):
                 raise ModelError("null in answer tuple")
@@ -291,6 +291,7 @@ class CQ:
                     raise ModelError(f"null in query atom {a}")
         object.__setattr__(self, "answers", answers)
         object.__setattr__(self, "body", body)
+        object.__setattr__(self, "_vars", body_vars)
 
     @property
     def arity(self) -> int:
@@ -303,11 +304,7 @@ class CQ:
         return not self.body
 
     def variables(self) -> frozenset[Variable]:
-        cached = getattr(self, "_vars", None)
-        if cached is None:
-            cached = frozenset(atoms_variables(self.body))
-            object.__setattr__(self, "_vars", cached)
-        return cached
+        return self._vars
 
     def answer_variables(self) -> set[Variable]:
         return {t for t in self.answers if isinstance(t, Variable)}

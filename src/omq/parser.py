@@ -20,15 +20,24 @@ use; the declared block alone is the data schema. Names beginning with
 
 Program files are read as UTF-8. An error's position is the ``line:column``
 of the offending token, or of the end of input for a truncated program.
+
+Scanning is one ``findall`` of one token pattern. Each match skips
+whitespace and comments and captures one token's text; any other character
+is captured alone and rejected before parsing, and ``""`` marks the end of
+input. The grammar compares token strings, and a token's kind follows from
+its first character. Positions are not kept: when an error is raised, the
+text is scanned again with the same pattern up to the offending token. One
+parse makes one object per distinct term text and per predicate.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
-from .errors import (ArityError, ModelError, ProgramSyntaxError,
+from .errors import (ArityError, ModelError, ParseError, ProgramSyntaxError,
                      ReservedNameError, SafetyError)
 from .model import (CQ, OMQ, TGD, UCQ, Atom, Constant, Database, Instance,
                     Predicate, Schema, Term, Variable, sorted_atoms)
@@ -38,10 +47,18 @@ KEYWORDS = {"schema", "tgds", "query", "database", "exists", "true"}
 _VARIABLE_RE = re.compile(r"[u-z][0-9]*\Z")
 _IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 _NUMBER_RE = re.compile(r"[0-9]+")
-# One token per match, its kind the group name; only "\n" starts a line.
+# One token per match: whitespace and comments are skipped, the token's text
+# is the group; a character no token starts with is a token of its own, and
+# the end of input is "". Only "\n" starts a line. The group always matches
+# (its last branch is ".?"), so the greedy skip never backtracks.
 _TOKEN_RE = re.compile(
-    r"(?P<newline>\n)|(?P<skip>[^\S\n]+|%[^\n]*)|(?P<symbol>->|:-|[.,(){}/])"
-    rf"|(?P<number>{_NUMBER_RE.pattern})|(?P<ident>{_IDENT_RE.pattern})")
+    r"\s*(?:%[^\n]*\s*)*"
+    rf"(->|:-|[.,(){{}}/]|{_NUMBER_RE.pattern}|{_IDENT_RE.pattern}|.?)")
+_DIGITS = frozenset("0123456789")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$")
+_WORD_START = _IDENT_START | _DIGITS
+# the tokens that start with no word character, the end of input included
+_SYMBOLS = frozenset(["", "->", ":-", ".", ",", "(", ")", "{", "}", "/"])
 
 
 def is_variable_token(tok: str) -> bool:
@@ -57,28 +74,25 @@ def is_constant_name(name: str) -> bool:
     return bool(_IDENT_RE.fullmatch(name)) and not is_variable_token(name)
 
 
-class Token(NamedTuple):
-    kind: str  # 'ident' | 'number' | 'symbol' | 'eof'
-    value: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
-    line, line_start, pos = 1, 0, 0
-    while m := _TOKEN_RE.match(text, pos):
-        kind = m.lastgroup
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind != "skip":
-            tokens.append(Token(kind, m.group(), line, pos - line_start + 1))
-        pos = m.end()
-    if pos < len(text):
-        raise ProgramSyntaxError(f"unexpected character {text[pos]!r}",
-                                 line, pos - line_start + 1)
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
+def _tokenize(text: str) -> list[str]:
+    """The token texts of ``text``, ending with one ``""``."""
+    tokens = _TOKEN_RE.findall(text)
+    if len(tokens) > 1 and tokens[-2] == "":
+        tokens.pop()  # the empty match after one that skipped to the end
+    bad = [t for t in set(tokens) - _SYMBOLS if t[0] not in _WORD_START]
+    if bad:
+        i = min(map(tokens.index, bad))
+        raise ProgramSyntaxError(f"unexpected character {tokens[i]!r}",
+                                 *_locate(text, i))
     return tokens
+
+
+def _locate(text: str, index: int) -> tuple[int, int]:
+    """The ``line, column`` of the index-th token, found by scanning again."""
+    m = next(itertools.islice(_TOKEN_RE.finditer(text), index, None))
+    start = m.start(1)
+    line_start = text.rfind("\n", 0, start) + 1
+    return text.count("\n", 0, line_start) + 1, start - line_start + 1
 
 
 @dataclass
@@ -100,51 +114,61 @@ class Program:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.declared: dict[str, Predicate] = {}
         self.inferred: dict[str, Predicate] = {}
+        self.terms: dict[str, Term] = {}  # token text -> the term it made
         self.tgds: list[TGD] = []
         self.queries: dict[str, list[CQ]] = {}
         self.databases: dict[str, list[Atom]] = {}
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def fail(self, cls: type[ParseError], message: str,
+             index: int | None = None) -> ParseError:
+        """``cls`` located at the index-th token, by default the last one
+        consumed."""
+        if index is None:
+            index = self.pos - 1
+        return cls(message, *_locate(self.text, index))
 
-    def next(self) -> Token:
-        t = self.tokens[self.pos]
+    def next(self) -> str:
+        tok = self.tokens[self.pos]
         self.pos += 1
-        return t
+        return tok
 
     def accept(self, value: str) -> bool:
         """Consume the next token when it is ``value``."""
-        if self.peek().value == value:
+        if self.tokens[self.pos] == value:
             self.pos += 1
             return True
         return False
 
-    def expect(self, value: str) -> Token:
-        t = self.next()
-        if t.value != value:
-            raise ProgramSyntaxError(
-                f"expected {value!r}, found {t.value!r}", t.line, t.col)
-        return t
+    def expect(self, value: str):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if tok != value:
+            raise self.fail(ProgramSyntaxError,
+                            f"expected {value!r}, found {tok!r}")
 
-    def expect_name(self) -> Token:
-        t = self.next()
-        if t.kind != "ident" or t.value in KEYWORDS:
-            raise ProgramSyntaxError(f"expected a name, found {t.value!r}",
-                                     t.line, t.col)
-        return t
+    def expect_name(self) -> str:
+        tok = self.next()
+        if tok[:1] not in _IDENT_START or tok in KEYWORDS:
+            raise self.fail(ProgramSyntaxError,
+                            f"expected a name, found {tok!r}")
+        return tok
 
     def until(self, close: str, item: Callable) -> list:
         """Items up to ``close``, which is consumed; a comma may follow each."""
         items = []
-        while not self.accept(close):
+        tokens = self.tokens
+        while tokens[self.pos] != close:
             items.append(item())
-            self.accept(",")
+            if tokens[self.pos] == ",":
+                self.pos += 1
+        self.pos += 1
         return items
 
     def separated(self, item: Callable) -> list:
@@ -159,16 +183,17 @@ class _Parser:
     def program(self) -> Program:
         blocks = {"schema": self.schema_block, "tgds": self.tgds_block,
                   "query": self.query_clause, "database": self.database_block}
-        while (t := self.next()).kind != "eof":
-            if t.value not in blocks:
-                raise ProgramSyntaxError(
-                    f"expected a block, found {t.value!r}", t.line, t.col)
-            blocks[t.value]()
+        while tok := self.next():
+            if tok not in blocks:
+                raise self.fail(ProgramSyntaxError,
+                                f"expected a block, found {tok!r}")
+            blocks[tok]()
+        # database_block admits no variable, and the parser makes no nulls
         return Program(
             schema=Schema(self.declared.values()),
             tgds=tuple(self.tgds),
             queries={name: UCQ(cqs) for name, cqs in self.queries.items()},
-            databases={name: Database(atoms)
+            databases={name: Database._trusted(frozenset(atoms))
                        for name, atoms in self.databases.items()},
             inferred=Schema(self.inferred.values()),
         )
@@ -178,21 +203,20 @@ class _Parser:
         self.until("}", self.declaration)
 
     def declaration(self):
+        at = self.pos
         name = self.expect_name()
-        self.check_reserved(name)
+        self.check_reserved(name, at)
         self.expect("/")
-        arity_tok = self.next()
-        if arity_tok.kind != "number":
-            raise ProgramSyntaxError("expected an arity",
-                                     arity_tok.line, arity_tok.col)
-        pred = Predicate(name.value, int(arity_tok.value))
-        known = self.declared.get(name.value) or self.inferred.get(name.value)
+        arity = self.next()
+        if arity[:1] not in _DIGITS:
+            raise self.fail(ProgramSyntaxError, "expected an arity")
+        pred = Predicate(name, int(arity))
+        known = self.declared.get(name) or self.inferred.get(name)
         if known is not None and known != pred:
-            raise ArityError(
-                f"{name.value} redeclared with arity {pred.arity}, "
-                f"was {known.arity}", name.line, name.col)
-        self.declared[name.value] = pred
-        self.inferred.pop(name.value, None)  # used before its schema block
+            raise self.fail(ArityError, f"{name} redeclared with arity "
+                            f"{pred.arity}, was {known.arity}", at)
+        self.declared[name] = known or pred
+        self.inferred.pop(name, None)  # used before its schema block
 
     def tgds_block(self):
         self.expect_name()  # block name is cosmetic
@@ -201,7 +225,7 @@ class _Parser:
             self.tgd()
 
     def tgd(self):
-        start = self.peek()
+        start = self.pos
         body = self.body()
         self.expect("->")
         exist_vars: list[Variable] = []
@@ -213,17 +237,18 @@ class _Parser:
         try:
             self.tgds.append(TGD(body, head, exist_vars))
         except ModelError as e:
-            raise SafetyError(str(e), start.line, start.col) from e
+            raise self.fail(SafetyError, str(e), start) from e
 
     def exist_var(self) -> Variable:
-        t = self.next()
-        if not (t.kind == "ident" and is_variable_token(t.value)):
-            raise ProgramSyntaxError(
-                f"expected a variable after 'exists', found {t.value!r}",
-                t.line, t.col)
-        return Variable(t.value)
+        tok = self.next()
+        if not (tok[:1] in _IDENT_START and is_variable_token(tok)):
+            raise self.fail(
+                ProgramSyntaxError,
+                f"expected a variable after 'exists', found {tok!r}")
+        return self.terms.setdefault(tok, Variable(tok))
 
     def query_clause(self):
+        at = self.pos
         name = self.expect_name()
         self.expect("(")
         answers = self.until(")", self.term)
@@ -233,25 +258,24 @@ class _Parser:
         try:
             cq = CQ(answers, body)
         except ModelError as e:
-            raise SafetyError(str(e), name.line, name.col) from e
-        clauses = self.queries.setdefault(name.value, [])
+            raise self.fail(SafetyError, str(e), at) from e
+        clauses = self.queries.setdefault(name, [])
         if clauses and clauses[0].arity != cq.arity:
-            raise ArityError(
-                f"query {name.value} has clauses of arity "
-                f"{clauses[0].arity} and {cq.arity}", name.line, name.col)
+            raise self.fail(ArityError, f"query {name} has clauses of arity "
+                            f"{clauses[0].arity} and {cq.arity}", at)
         clauses.append(cq)
 
     def database_block(self):
         name = self.expect_name()
         self.expect("{")
-        atoms = self.databases.setdefault(name.value, [])
+        atoms = self.databases.setdefault(name, [])
         while not self.accept("}"):
-            start = self.peek()
+            start = self.pos
             a = self.atom()
             self.expect(".")
-            if a.variables():
-                raise SafetyError(f"variable in database fact {a}",
-                                  start.line, start.col)
+            if Variable in map(type, a.args):
+                raise self.fail(SafetyError, f"variable in database fact {a}",
+                                start)
             atoms.append(a)
 
     def body(self) -> list[Atom]:
@@ -259,36 +283,46 @@ class _Parser:
         return [] if self.accept("true") else self.separated(self.atom)
 
     def atom(self) -> Atom:
-        name = self.expect_name()
-        self.check_reserved(name)
-        self.expect("(")
-        args = self.until(")", self.term)
-        pred = Predicate(name.value, len(args))
-        known = self.declared.get(name.value) or self.inferred.get(name.value)
+        at = self.pos
+        name = self.tokens[at]
+        # a known name was checked when it became known
+        known = self.declared.get(name) or self.inferred.get(name)
         if known is None:
-            self.inferred[name.value] = pred
-        elif known != pred:
-            raise ArityError(
-                f"{name.value} used with arity {pred.arity}, "
-                f"declared/inferred {known.arity}", name.line, name.col)
-        return Atom(pred, tuple(args))
+            self.expect_name()
+            self.check_reserved(name, at)
+        else:
+            self.pos += 1
+        self.expect("(")
+        args = tuple(self.until(")", self.term))
+        if known is None:
+            known = self.inferred[name] = Predicate(name, len(args))
+        elif known.arity != len(args):
+            raise self.fail(ArityError, f"{name} used with arity {len(args)}, "
+                            f"declared/inferred {known.arity}", at)
+        return Atom(known, args)
 
     def term(self) -> Term:
-        t = self.next()
-        if t.kind == "number":
-            return Constant(t.value)
-        if t.kind != "ident" or t.value in KEYWORDS:
-            raise ProgramSyntaxError(f"expected a term, found {t.value!r}",
-                                     t.line, t.col)
-        if is_variable_token(t.value):
-            return Variable(t.value)
-        self.check_reserved(t)
-        return Constant(t.value)
+        tok = self.next()
+        t = self.terms.get(tok)
+        if t is not None:
+            return t
+        if tok[:1] in _DIGITS:
+            t = Constant(tok)
+        elif tok[:1] not in _IDENT_START or tok in KEYWORDS:
+            raise self.fail(ProgramSyntaxError,
+                            f"expected a term, found {tok!r}")
+        elif is_variable_token(tok):
+            t = Variable(tok)
+        else:
+            self.check_reserved(tok, self.pos - 1)
+            t = Constant(tok)
+        self.terms[tok] = t
+        return t
 
-    def check_reserved(self, t: Token):
-        if t.value.startswith(("$", "_")):
-            raise ReservedNameError(
-                f"{t.value!r} is in a reserved namespace", t.line, t.col)
+    def check_reserved(self, name: str, at: int):
+        if name[0] in "$_":
+            raise self.fail(ReservedNameError,
+                            f"{name!r} is in a reserved namespace", at)
 
 
 def parse_program(text: str) -> Program:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 from omq.errors import ProgramSyntaxError
+from omq.classify import MarkedVariableSet
 from omq.evaluate import prepare
 from omq.model import (CQ, TGD, Atom, Constant, Database, Instance, Predicate,
                        Variable, active_domain, sorted_atoms)
-from omq.parser import _IDENT_RE, _NUMBER_RE, Token
+from omq.parser import _IDENT_RE, _NUMBER_RE
 from omq.rewrite import RENAME_SEP, _rename_apart, cq_isomorphic, mgu
 from omq.testkit import enumerate_databases
 
@@ -98,6 +100,46 @@ def eager_distribution_check(omq, max_constants, max_atoms, budget=None):
         if answers(db) != frozenset(union):
             return False, db
     return True, None
+
+
+def renamed_marked_variables(tgds) -> MarkedVariableSet:
+    """``marked_variables`` as it was before marks were keyed by tgd index
+    alone: every tgd renamed apart (``@i`` suffixes), the fixpoint run over
+    the renamed rules, and the suffixes stripped from the marks."""
+    tgds = [t.rename(f"@{i}") for i, t in enumerate(tgds)]
+    marked: set = set()
+    for i, t in enumerate(tgds):
+        body_vars = {v for a in t.body for v in a.variables()}
+        for v in body_vars:
+            if any(v not in a.variables() for a in t.head):
+                marked.add((i, v))
+    bodies: dict = {}
+    for j, t in enumerate(tgds):
+        for b in t.body:
+            bodies.setdefault(b.predicate, []).append((j, b))
+    changed = True
+    while changed:
+        changed = False
+        for i, t in enumerate(tgds):
+            body_vars = {v for a in t.body for v in a.variables()}
+            for v in body_vars:
+                if (i, v) in marked:
+                    continue
+                for alpha in t.head:
+                    if v not in alpha.variables():
+                        continue
+                    positions = [k for k, arg in enumerate(alpha.args) if arg == v]
+                    for j, beta in bodies.get(alpha.predicate, ()):
+                        if all(not isinstance(beta.args[k], Variable)
+                               or (j, beta.args[k]) in marked
+                               for k in positions):
+                            marked.add((i, v))
+                            changed = True
+                            break
+                    if (i, v) in marked:
+                        break
+    out = {(i, Variable(v.name[: v.name.rindex("@")])) for i, v in marked}
+    return MarkedVariableSet(frozenset(out))
 
 
 def reference_isomorphic(q1: CQ, q2: CQ) -> bool:
@@ -223,6 +265,13 @@ def same_disjunct_sets(ds1, ds2) -> bool:
         else:
             return False
     return True
+
+
+class Token(NamedTuple):
+    kind: str  # 'ident' | 'number' | 'symbol' | 'eof'
+    value: str
+    line: int
+    col: int
 
 
 def char_loop_tokenize(text: str) -> list[Token]:

@@ -1,10 +1,13 @@
 import random
 
-from helpers import SECTION41
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import SECTION41, renamed_marked_variables
 from omq.classify import (NotStratifiable, Stratification, classify,
                           is_guarded, is_linear, is_non_recursive, is_sticky,
                           marked_variables, predicate_graph, stratify)
-from omq.model import TGD, Predicate, Variable, atom
+from omq.model import TGD, Atom, Constant, Predicate, Variable, atom
 from omq.parser import parse_program
 from omq.testkit import GeneratorConfig, random_omq, sticky_family
 
@@ -166,6 +169,29 @@ def test_marking_monotone_in_rule_set():
         before = marked_variables(tgds).marked
         after = marked_variables(tgds + list(extra)).marked
         assert before <= after, seed
+
+
+MARK_PREDICATES = [Predicate("P", 1), Predicate("R", 2), Predicate("S", 3)]
+# every rule draws from the same names, so rules share variable names
+MARK_TERMS = [x, y, z, Variable("w"), Constant("a")]
+
+
+@st.composite
+def rule_sets(draw):
+    def atoms(lo, hi):
+        return [Atom(p, tuple(draw(st.sampled_from(MARK_TERMS))
+                              for _ in range(p.arity)))
+                for p in draw(st.lists(st.sampled_from(MARK_PREDICATES),
+                                       min_size=lo, max_size=hi))]
+
+    return [TGD.of(atoms(1, 3), atoms(1, 2))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_sets())
+def test_marking_equals_the_renamed_apart_reference(tgds):
+    assert marked_variables(tgds) == renamed_marked_variables(tgds)
 
 
 def test_stratify_agrees_with_independent_cycle_check():

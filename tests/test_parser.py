@@ -1,14 +1,20 @@
+import importlib
+import pkgutil
+import re
+import string
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (SECTION41, char_loop_tokenize, same_disjunct_sets,
-                     same_tgd_sets)
+from helpers import (SECTION41, Token, char_loop_tokenize,
+                     same_disjunct_sets, same_tgd_sets)
 from omq.errors import (ArityError, ParseError, ProgramSyntaxError,
                         ReservedNameError, SafetyError)
 from omq.model import (CQ, TGD, UCQ, Atom, Constant, Database, Predicate,
                        Schema, Variable, as_ucq, atoms_variables)
-from omq.parser import (Program, Token, _tokenize, parse_program,
+import omq
+from omq.parser import (Program, _locate, _tokenize, parse_program,
                         serialize_program)
 from omq.testkit import GeneratorConfig, random_omq
 
@@ -99,6 +105,10 @@ def test_query_arity_conflict():
                       "query q(x,y) :- R(x,y).")
 
 
+# forty lines of facts, so that an error after them is located by rescanning
+# past many tokens
+FACTS = "".join(f"P(c{i}). R(c{i}, c{i + 1}).\n" for i in range(40))
+
 # one input per raise site of the parser: (text, error class, line, col)
 ERROR_SITES = [
     ("schema { P/1 }\n  # bad", ProgramSyntaxError, 2, 3),
@@ -118,6 +128,25 @@ ERROR_SITES = [
     ("schema { P/1 } database d { P($frz0). }", ReservedNameError, 1, 31),
     ("schema { _P/1 }", ReservedNameError, 1, 10),
     ("schema { P/1", ProgramSyntaxError, 1, 13),  # end of input
+    # after many facts, on line 3 or later
+    ("schema { P/1, R/2 }\ndatabase d {\n" + FACTS + "  R(c1, x). }",
+     SafetyError, 43, 3),
+    ("schema { P/1, R/2 }\ndatabase d {\n" + FACTS.replace("\n", " ")
+     + "P(c1 c2). }", ArityError, 3, 812),
+    ("schema { P/1, R/2 }\ndatabase d { P(a). P(b).\n P(c). R(a, b). R(b, c)."
+     "\n P(g). R(d, e).\n R(e, f). R(f, #). }", ProgramSyntaxError, 5, 16),
+    # after comment lines
+    ("% a comment line\nschema { P/1 }\n% more: query q(x) :- P(y).\n"
+     "query q(x) :- P(y).", SafetyError, 4, 7),
+    ("schema { P/1 } % trailing\n%\n\n  tgds t { P(x) -> Q(x). "
+     "Q(x) -> P(x, x). }", ArityError, 4, 34),
+    # on a line holding "\r" or "\xa0", which do not start a line
+    ("schema { P/1 }\r\nquery\xa0q(x) :-\r P(x) Q(x).", ProgramSyntaxError,
+     2, 21),
+    ("schema { P/1 }\n\xa0\xa0query q(x) :- P(x).\r\rdatabase d { P(a). "
+     "P($b). }", ReservedNameError, 2, 45),
+    ("schema\r{ P/1 }\n\r\n\r query q(x) :- P(x). é", ProgramSyntaxError,
+     3, 23),
 ]
 
 
@@ -135,6 +164,23 @@ def test_error_after_trailing_comment_is_at_end_of_input():
         assert (e.value.line, e.value.col) == (1, len(text) + 1), text
 
 
+def test_one_object_per_term_text_and_predicate():
+    prog = parse_program(
+        "schema { P/1, R/2 } tgds t { P(x) -> exists y . R(x, y). "
+        "R(x, a) -> P(x). } query q(x) :- R(x, a), P(x), R(a, 0). "
+        "query q(x) :- R(x, x). database d { P(a). R(a, b). R(b, a). R(0, 0). }"
+        " database e { P(a). S(a, 0). } schema { S/2 }")
+    atoms = [a for t in prog.tgds for a in (*t.body, *t.head)]
+    atoms += [a for ucq in prog.queries.values() for cq in ucq for a in cq.body]
+    atoms += [a for db in prog.databases.values() for a in db]
+    terms = [t for a in atoms for t in a.args]
+    terms += [t for t in prog.tgds[0].exist_vars]
+    terms += [t for ucq in prog.queries.values() for cq in ucq for t in cq.answers]
+    assert len({id(t) for t in terms}) == len(set(terms)) == 5  # x y a b 0
+    preds = [a.predicate for a in atoms] + list(prog.schema)
+    assert len({id(p) for p in preds}) == len(set(preds)) == 3
+
+
 def test_commas_optional_in_schema_answers_and_arguments():
     loose = parse_program("schema { P/1 R/2, } query q(x,) :- P(x). "
                           "query r() :- R(a b).")
@@ -149,9 +195,19 @@ TOKEN_PIECES = ["schema", "tgds", "query", "database", "exists", "true", "P",
                 "\r", "\t", "\x0b", "\xa0", "\u2028", "é", "ß", "#", "!"]
 
 
+def token_kind(tok: str) -> str:
+    if not tok:
+        return "eof"
+    if tok[0] in string.digits:
+        return "number"
+    return "ident" if tok[0] in string.ascii_letters + "_$" else "symbol"
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=30).map("".join))
 def test_scanner_matches_character_loop(text):
+    """Token texts from the scanner, kinds from their first character and
+    positions from the rescan that errors use."""
     try:
         expected = char_loop_tokenize(text)
     except ProgramSyntaxError as e:
@@ -160,13 +216,40 @@ def test_scanner_matches_character_loop(text):
         assert (got.value.message, got.value.line, got.value.col) == \
             (e.message, e.line, e.col)
         return
-    tokens = _tokenize(text)
+    tokens = [Token(token_kind(t), t, *_locate(text, i))
+              for i, t in enumerate(_tokenize(text))]
     assert tokens[:-1] == expected[:-1]
     last_line = text.rsplit("\n", 1)[-1]
     assert tokens[-1] == Token("eof", "", text.count("\n") + 1,
                                len(last_line) + 1)
     if "%" not in last_line:  # a trailing comment moves the end of input
         assert tokens[-1] == expected[-1]
+
+
+def _opcode_names(node, sre_parse) -> set[str]:
+    """The opcode names of a parsed regular expression, nested ones too."""
+    if isinstance(node, int):
+        return {node.name} if hasattr(node, "name") else set()
+    if isinstance(node, (list, tuple, sre_parse.SubPattern)):
+        return set().union(*(_opcode_names(n, sre_parse) for n in node))
+    return set()
+
+
+def test_patterns_compile_on_the_oldest_supported_python():
+    """pyproject.toml admits Python 3.10, whose re module has no possessive
+    quantifiers and no atomic groups (both came in 3.11); a module-level
+    pattern using either would make ``import omq`` fail there."""
+    sre_parse = pytest.importorskip("re._parser")  # the 3.11+ name
+    patterns = []
+    for info in pkgutil.iter_modules(omq.__path__, "omq."):
+        module = importlib.import_module(info.name)
+        patterns += [v for v in vars(module).values()
+                     if isinstance(v, re.Pattern)]
+    assert any("%" in p.pattern for p in patterns)  # the token pattern
+    for pat in patterns:
+        names = _opcode_names(sre_parse.parse(pat.pattern, pat.flags),
+                              sre_parse)
+        assert not names & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}, pat.pattern
 
 
 def test_roundtrip_worked_example():
