@@ -3,8 +3,17 @@ depth-bounded chase, model checking, and the head normal form transform.
 
 The restricted (standard) chase is used throughout: a trigger is skipped
 when its head is already satisfied by some extension of the binding.
-Trigger order is deterministic (tgd index, then binding), so chase results
-are reproducible run to run.
+Trigger order is deterministic (tgd index, then binding by variable name),
+so chase results are reproducible run to run.
+
+Each tgd is compiled once, on first use, into search plans of its body and
+head (see ``homs.Plan``), kept on the tgd. A trigger is then a slot binding
+of the body plan together with the facts its atoms map to, and a head check
+searches the head plan with the frontier slots pre-bound. Without a level
+cap, rounds are semi-naive: after the first round, only triggers whose image
+holds an atom added by the previous round are collected. Every older trigger
+was collected in an earlier round and then fired or found its head
+satisfied, which stays so; the fired sequence is that of full rounds.
 """
 
 from __future__ import annotations
@@ -28,14 +37,6 @@ class Trigger:
     tgd_index: int
     binding: Substitution
 
-    def image(self) -> frozenset[Atom]:
-        return self.binding.apply_atoms(self.tgd.body)
-
-    def sort_key(self):
-        items = sorted(((v.name, term_key(t))
-                        for v, t in self.binding.mapping.items()))
-        return (self.tgd_index, items)
-
 
 @dataclass(frozen=True)
 class ChaseResult:
@@ -48,86 +49,149 @@ class ChaseResult:
     _index: Optional[dict] = field(default=None, repr=False, compare=False)
 
 
+class _Rule:
+    """A tgd compiled for the chase: the plans of its body and head, the
+    body slot behind each frontier slot of the head, and the head slots of
+    its existential variables in name order."""
+
+    __slots__ = ("body", "head", "frontier", "exist")
+
+    def __init__(self, t: TGD):
+        self.body = homs.Plan(sorted_atoms(t.body))
+        self.head = homs.Plan(sorted_atoms(t.head))
+        body_slot = self.body.slot_of
+        self.frontier = tuple((s, body_slot[v]) for s, v in enumerate(self.head.variables)
+                              if v in body_slot)
+        self.exist = tuple(s for s, v in enumerate(self.head.variables)
+                           if v not in body_slot)
+
+    def triggers(self, index: dict, delta: Optional[dict] = None) -> list[tuple]:
+        """The triggers over ``index`` as (binding, image) pairs of tuples,
+        sorted by the binding in variable-name order. With ``delta`` (new
+        facts by predicate), only those whose image holds one of them."""
+        body = self.body
+        found = {}
+        if delta is None:
+            b = [None] * len(body.variables)
+            for image in body.search(index, b):
+                found[tuple(b)] = tuple(image)
+        else:
+            for i, (pred, _) in enumerate(body.atoms):
+                for fact in delta.get(pred, ()):
+                    b = [None] * len(body.variables)
+                    if body.match(i, fact, b):
+                        for image in body.search(index, b):
+                            key = tuple(b)
+                            if key not in found:
+                                found[key] = tuple(image)
+        out = list(found.items())
+        if len(out) > 1:
+            out.sort(key=lambda e: tuple(map(term_key, e[0])))
+        return out
+
+    def head_binding(self, b) -> list:
+        """The head slots under the body binding ``b``; existentials free."""
+        h = [None] * len(self.head.variables)
+        for s, t in self.frontier:
+            h[s] = b[t]
+        return h
+
+    def satisfied(self, index: dict, b) -> bool:
+        """Restricted-chase filter: can the binding extend to the head in place?"""
+        for _ in self.head.search(index, self.head_binding(b)):
+            return True
+        return False
+
+    def fire(self, b, nulls: NullFactory) -> list[Atom]:
+        """The head atoms under ``b``, a fresh null per existential."""
+        h = self.head_binding(b)
+        for s in self.exist:
+            h[s] = nulls.fresh()
+        return self.head.apply(h)
+
+
+def _rule(t: TGD) -> _Rule:
+    """The compiled form of ``t``, built on first use and cached on it."""
+    rule = getattr(t, "_rule", None)
+    if rule is None:
+        rule = _Rule(t)
+        object.__setattr__(t, "_rule", rule)
+    return rule
+
+
+def _trigger(t: TGD, tgd_index: int, b) -> Trigger:
+    return Trigger(t, tgd_index,
+                   Substitution._resolved(dict(zip(_rule(t).body.variables, b))))
+
+
 def find_triggers(instance: Instance, tgd: TGD, tgd_index: int = 0,
                   index: dict | None = None) -> list[Trigger]:
-    """All homomorphisms from the tgd body into the instance.
-
-    A fact tgd yields the single empty-binding trigger.
+    """All homomorphisms from the tgd body into the instance, in binding
+    order. A fact tgd yields the single empty-binding trigger.
     """
-    out = []
-    # a binding maps variables to instance terms, never to variables, so it
-    # is resolved already
-    for h in homs.homomorphisms(sorted_atoms(tgd.body), instance.atoms,
-                                index=index):
-        out.append(Trigger(tgd, tgd_index, Substitution._resolved(h)))
-    out.sort(key=Trigger.sort_key)
-    return out
-
-
-def _head_satisfied(instance_atoms, trigger: Trigger, index=None) -> bool:
-    """Restricted-chase filter: can the binding extend to the head in place?"""
-    pattern = [trigger.binding.apply_atom(a) for a in sorted_atoms(trigger.tgd.head)]
-    return homs.has_homomorphism(pattern, instance_atoms, index=index)
-
-
-def _fire(trigger: Trigger, nulls: NullFactory) -> frozenset[Atom]:
-    ext = dict(trigger.binding.mapping)
-    for z in sorted(trigger.tgd.exist_vars, key=lambda v: v.name):
-        ext[z] = nulls.fresh()
-    return Substitution._resolved(ext).apply_atoms(trigger.tgd.head)
+    if index is None:
+        index = homs.index_by_predicate(instance.atoms)
+    return [_trigger(tgd, tgd_index, b) for b, _ in _rule(tgd).triggers(index)]
 
 
 def chase_step(instance: Instance, trigger: Trigger,
                nulls: NullFactory | None = None) -> Instance:
     """Apply one trigger: head atoms join the instance, fresh nulls for
     existentials. Raises InactiveTrigger when the body image is absent."""
-    if not trigger.image() <= instance.atoms:
+    if not trigger.binding.apply_atoms(trigger.tgd.body) <= instance.atoms:
         raise InactiveTrigger(f"trigger for {trigger.tgd} is not active")
     if nulls is None:
         nulls = NullFactory.after(instance.atoms)
-    return Instance(instance.atoms | _fire(trigger, nulls))
+    rule = _rule(trigger.tgd)
+    mapping = trigger.binding.mapping
+    b = [mapping[v] for v in rule.body.variables]
+    return Instance(instance.atoms.union(rule.fire(b, nulls)))
 
 
 def _run_to_fixpoint(atoms: set[Atom], index: dict, level_of: dict[Atom, int],
-                     tgds: Sequence[tuple[int, TGD]], nulls: NullFactory,
+                     tgds: Sequence[TGD], nulls: NullFactory,
                      max_level: Optional[int]) -> tuple[int, bool]:
     """Saturate ``atoms`` under ``tgds``; returns (steps, capped).
 
     ``index`` is the live fact index of ``atoms`` and grows with it. Each
     round first collects the triggers of every tgd over the atoms at the
     start of the round, then fires them in order; the head checks see
-    every atom fired so far.
+    every atom fired so far. Without ``max_level`` the rounds after the
+    first are semi-naive; with it every round is full.
 
     ``capped`` reports that some trigger was left unfired because its derived
     atoms would exceed ``max_level``.
     """
+    rules = [_rule(t) for t in tgds]
     steps = 0
     capped = False
+    delta = None
     while True:
-        fired_any = False
-        instance = Instance(atoms)
-        triggers = [trigger for i, t in tgds
-                    for trigger in find_triggers(instance, t, i, index=index)]
-        for trigger in triggers:
-            image = trigger.image()
-            new_level = 1 + max((level_of[a] for a in image), default=0)
+        fired = False
+        added: dict = {}
+        triggers = [(rule, b, image) for rule in rules
+                    for b, image in rule.triggers(index, delta)]
+        for rule, b, image in triggers:
+            new_level = 1 + max(map(level_of.__getitem__, image), default=0)
             if max_level is not None and new_level > max_level:
                 capped = True
                 continue
-            if _head_satisfied(atoms, trigger, index=index):
+            if rule.satisfied(index, b):
                 continue
-            produced = _fire(trigger, nulls)
             steps += 1
-            fired_any = True
-            for a in produced:
+            fired = True
+            for a in rule.fire(b, nulls):
                 if a not in atoms:
                     atoms.add(a)
                     homs.add_fact(index, a)
                     level_of[a] = new_level
+                    added.setdefault(a.predicate, []).append(a)
                 elif level_of[a] > new_level:
                     level_of[a] = new_level
-        if not fired_any:
+        if not fired:
             return steps, capped
+        if max_level is None:
+            delta = added
 
 
 def chase_nr(db: Database, tgds: Sequence[TGD]) -> ChaseResult:
@@ -144,8 +208,8 @@ def chase_nr(db: Database, tgds: Sequence[TGD]) -> ChaseResult:
     nulls = NullFactory(1)
     steps = 0
     for stratum in strat.strata:
-        indexed = [(i, tgds[i]) for i in stratum]
-        s, _ = _run_to_fixpoint(atoms, index, level_of, indexed, nulls, None)
+        s, _ = _run_to_fixpoint(atoms, index, level_of, [tgds[i] for i in stratum],
+                                nulls, None)
         steps += s
     return ChaseResult(Instance(atoms), steps, True, level_of, index)
 
@@ -164,8 +228,7 @@ def chase_bounded(db: Database, tgds: Sequence[TGD], max_level: int) -> ChaseRes
     index = homs.index_by_predicate(atoms)
     level_of = {a: 0 for a in atoms}
     nulls = NullFactory(1)
-    steps, _ = _run_to_fixpoint(atoms, index, level_of, list(enumerate(tgds)),
-                                nulls, max_level)
+    steps, _ = _run_to_fixpoint(atoms, index, level_of, tgds, nulls, max_level)
     instance = Instance(atoms)
     complete, _ = satisfies(instance, tgds)
     return ChaseResult(instance, steps, complete, level_of, index)
@@ -175,9 +238,10 @@ def satisfies(instance: Instance, tgds: Sequence[TGD]) -> tuple[bool, Optional[T
     """Model check: every active trigger's head has a witness in place."""
     index = homs.index_by_predicate(instance.atoms)
     for i, t in enumerate(tgds):
-        for trigger in find_triggers(instance, t, i, index=index):
-            if not _head_satisfied(instance.atoms, trigger, index=index):
-                return False, trigger
+        rule = _rule(t)
+        for b, _ in rule.triggers(index):
+            if not rule.satisfied(index, b):
+                return False, _trigger(t, i, b)
     return True, None
 
 

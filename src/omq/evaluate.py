@@ -19,6 +19,16 @@ from .rewrite import _xrewrite
 AnswerSet = frozenset  # of tuples of Constant
 
 
+def _plan(q: CQ) -> homs.Plan:
+    """The search plan of ``q``'s body, compiled on first use and cached on
+    ``q`` (as ``rewrite.cq_key`` caches its key)."""
+    plan = getattr(q, "_plan", None)
+    if plan is None:
+        plan = homs.Plan(sorted_atoms(q.body))
+        object.__setattr__(q, "_plan", plan)
+    return plan
+
+
 def evaluate_cq(q: CQ, instance: Instance | Database,
                 index: dict | None = None) -> AnswerSet:
     """All constant tuples h(answers) over homomorphisms h from the body.
@@ -30,7 +40,7 @@ def evaluate_cq(q: CQ, instance: Instance | Database,
     if not q.body:
         return frozenset({tuple(q.answers)})
     out = set()
-    for h in homs.homomorphisms(sorted_atoms(q.body), instance.atoms, index=index):
+    for h in homs.homomorphisms(_plan(q), instance.atoms, index=index):
         tup = tuple(h[t] if isinstance(t, Variable) else t for t in q.answers)
         if all(isinstance(c, Constant) for c in tup):
             out.add(tup)

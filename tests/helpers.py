@@ -6,10 +6,12 @@ import itertools
 from typing import NamedTuple
 
 from omq.errors import ProgramSyntaxError
-from omq.classify import MarkedVariableSet
+from omq.classify import MarkedVariableSet, stratify
 from omq.evaluate import prepare
-from omq.model import (CQ, TGD, Atom, Constant, Database, Instance, Predicate,
-                       Variable, active_domain, sorted_atoms)
+from omq.homs import add_fact, index_by_predicate
+from omq.model import (CQ, TGD, Atom, Constant, Database, Instance, NullFactory,
+                       Predicate, Substitution, Variable, active_domain,
+                       sorted_atoms, term_key)
 from omq.parser import _IDENT_RE, _NUMBER_RE
 from omq.rewrite import RENAME_SEP, _rename_apart, cq_isomorphic, mgu
 from omq.testkit import enumerate_databases
@@ -59,6 +61,148 @@ def scan_homomorphisms(atoms, facts, binding=None):
             yield from search(pending[:i] + pending[i + 1:], ext)
 
     yield from search(list(atoms), dict(binding or {}))
+
+
+def recursive_homomorphisms(atoms, facts, binding=None, index=None):
+    """The recursive search ``homs`` ran before its compiled plans: the
+    binding is a dict keyed by variable, and at every node every pending
+    atom is costed by its shortest posting list and the cheapest goes
+    first. A given ``index`` stands in for ``facts``."""
+
+    def match(pattern, fact, bind):
+        new: dict = {}
+        for p, f in zip(pattern.args, fact.args):
+            if isinstance(p, Variable):
+                bound = new.get(p, bind.get(p))
+                if bound is None:
+                    new[p] = f
+                elif bound != f:
+                    return None
+            elif p != f:
+                return None
+        return new
+
+    def candidates(a, bind):
+        entry = index.get(a.predicate)
+        if entry is None:
+            return ()
+        best, postings = entry
+        for by_term, t in zip(postings, a.args):
+            if isinstance(t, Variable):
+                t = bind.get(t)
+                if t is None:
+                    continue
+            found = by_term.get(t)
+            if found is None:
+                return ()
+            if len(found) < len(best):
+                best = found
+        return best
+
+    def search(pending, bind):
+        if not pending:
+            yield dict(bind)
+            return
+        best_i, best = 0, None
+        for i, a in enumerate(pending):
+            cands = candidates(a, bind)
+            if best is None or len(cands) < len(best):
+                if not cands:
+                    return
+                best_i, best = i, cands
+        atom = pending[best_i]
+        rest = pending[:best_i] + pending[best_i + 1:]
+        for fact in best:
+            ext = match(atom, fact, bind)
+            if ext is None:
+                continue
+            bind.update(ext)
+            yield from search(rest, bind)
+            for k in ext:
+                del bind[k]
+
+    if index is None:
+        index = index_by_predicate(facts)
+    yield from search(list(atoms), dict(binding) if binding else {})
+
+
+class ReferenceChase(NamedTuple):
+    atoms: frozenset
+    steps: int
+    complete: bool
+    level_of: dict
+
+
+def _reference_triggers(index, tgds):
+    """Every trigger of the indexed tgds over ``index`` as (tgd, binding),
+    in tgd order, then by binding in variable-name order."""
+    out = []
+    for i, t in tgds:
+        found = [Substitution._resolved(h) for h in
+                 recursive_homomorphisms(sorted_atoms(t.body), None, index=index)]
+        found.sort(key=lambda s: sorted((v.name, term_key(x))
+                                        for v, x in s.mapping.items()))
+        out.extend((t, s) for s in found)
+    return out
+
+
+def _reference_head_satisfied(index, t, s):
+    pattern = [s.apply_atom(a) for a in sorted_atoms(t.head)]
+    for _ in recursive_homomorphisms(pattern, None, index=index):
+        return True
+    return False
+
+
+def _reference_run(atoms, index, level_of, tgds, nulls, max_level):
+    """``chase._run_to_fixpoint`` before compiled rules and semi-naive
+    rounds: every round collects every trigger over the atoms at its start
+    and fires them in order, each head checked by searching the head atoms
+    with the binding applied."""
+    steps = 0
+    while True:
+        fired_any = False
+        for t, s in _reference_triggers(index, tgds):
+            image = s.apply_atoms(t.body)
+            new_level = 1 + max((level_of[a] for a in image), default=0)
+            if max_level is not None and new_level > max_level:
+                continue
+            if _reference_head_satisfied(index, t, s):
+                continue
+            ext = dict(s.mapping)
+            for z in sorted(t.exist_vars, key=lambda v: v.name):
+                ext[z] = nulls.fresh()
+            steps += 1
+            fired_any = True
+            for a in Substitution._resolved(ext).apply_atoms(t.head):
+                if a not in atoms:
+                    atoms.add(a)
+                    add_fact(index, a)
+                    level_of[a] = new_level
+                elif level_of[a] > new_level:
+                    level_of[a] = new_level
+        if not fired_any:
+            return steps
+
+
+def reference_chase(db, tgds, max_level=None) -> ReferenceChase:
+    """``chase_nr`` (stratum by stratum) without ``max_level``, else
+    ``chase_bounded``, as they ran before compiled rules and semi-naive
+    rounds."""
+    tgds = list(tgds)
+    atoms = set(db.atoms)
+    index = index_by_predicate(atoms)
+    level_of = {a: 0 for a in atoms}
+    nulls = NullFactory(1)
+    if max_level is None:
+        strata = stratify(tgds).strata
+    else:
+        strata = [range(len(tgds))]
+    steps = sum(_reference_run(atoms, index, level_of, [(i, tgds[i]) for i in stratum],
+                               nulls, max_level)
+                for stratum in strata)
+    complete = all(_reference_head_satisfied(index, t, s)
+                   for t, s in _reference_triggers(index, list(enumerate(tgds))))
+    return ReferenceChase(frozenset(atoms), steps, complete, level_of)
 
 
 def union_find_components(atoms):
@@ -343,3 +487,17 @@ schema { p1/2 }
 tgds t { p1(y, u), p1(z, z) -> exists V1 . p1(V1, u). }
 query q(y) :- p1(x, y), p1(z, y).
 """
+
+
+def path_program(n: int) -> str:
+    """A Boolean path query of ``n`` R-atoms under a rule that never meets
+    it, over a database ``d`` holding a 7-cycle (the path maps around it)
+    and a database ``e`` holding a 20-edge path (too short)."""
+    body = ", ".join(f"R(x{i}, x{i + 1})" for i in range(n))
+    cycle = " ".join(f"R(c{i}, c{(i + 1) % 7})." for i in range(7))
+    path = " ".join(f"R(e{i}, e{i + 1})." for i in range(20))
+    return (f"schema {{ R/2, A/1, B/2 }}\n"
+            f"tgds t {{ A(x) -> exists y . B(x, y). }}\n"
+            f"query q() :- {body}.\n"
+            f"database d {{ {cycle} A(c3). }}\n"
+            f"database e {{ {path} A(e3). }}\n")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SECTION41
+from helpers import SECTION41, reference_chase
 from omq.chase import (chase_bounded, chase_nr, chase_step, find_triggers,
                        normalize_tgds, satisfies)
 from omq.classify import classify
@@ -219,6 +219,40 @@ def test_normalization_preserves_chase_answers(omq_and_db):
             == evaluate_ucq(omq.query, chase_nr(db, normal).instance))
 
 
+def test_chase_nr_second_round_at_every_body_position():
+    """The first rule's head Y(x) sits in the stratum of F, so the rules
+    that read Y share that stratum and find their triggers only in the
+    second round: from Y last in a body (after D) and first (before Z)."""
+    program = parse_program("""
+        schema { A/1, D/1, Z/1 }
+        tgds t {
+          A(x) -> Y(x), F(x).
+          Y(x) -> F(x).
+          D(x), Y(x) -> E(x).
+          Y(x), Z(x) -> G(x).
+        }
+        database d { A(a). D(a). Z(a). }
+    """)
+    db = program.databases["d"]
+    got = chase_nr(db, program.tgds)
+    assert {"E(a)", "G(a)"} <= {str(f) for f in got.instance.atoms}
+    want = reference_chase(db, program.tgds)
+    assert (got.instance.atoms, got.steps) == (want.atoms, want.steps)
+    assert dict(got.level_of) == want.level_of
+
+
+@settings(max_examples=200, deadline=None)
+@given(nr_omqs_and_databases())
+def test_chase_nr_matches_reference_rounds_on_multi_head_rules(omq_and_db):
+    """A rule with several head atoms can feed a rule of its own stratum,
+    so later semi-naive rounds have new atoms in any body position."""
+    omq, db = omq_and_db
+    got = chase_nr(db, omq.tgds)
+    want = reference_chase(db, omq.tgds)
+    assert (got.instance.atoms, got.steps) == (want.atoms, want.steps)
+    assert dict(got.level_of) == want.level_of
+
+
 def test_chase_nr_satisfies_random():
     for seed in range(25):
         cfg = GeneratorConfig(seed=seed, max_predicates=2, max_arity=2,
@@ -311,3 +345,27 @@ def test_chase_bounded_monotone_in_level():
         names = {(at.predicate.name, at.args) for at in cur}
         assert set(prev) <= names
         prev = names
+
+
+@pytest.mark.parametrize("target", ["NR", "F", "L", "S"])
+def test_chase_matches_reference_rounds(target):
+    """``chase_nr`` (semi-naive rounds) and ``chase_bounded`` (full rounds)
+    fire exactly what the rounds before compiled rules fired: the same
+    atoms with the same null ids, steps, levels and completeness."""
+    for seed in range(60):
+        cfg = GeneratorConfig(seed=seed, max_predicates=3, max_arity=2,
+                              max_tgds=4, target_class=target,
+                              fact_tgds=seed % 5 == 0)
+        omq = random_omq(cfg)
+        rng = random.Random(f"{target}-{seed}")
+        nr = classify(omq.tgds).non_recursive
+        for size in (3, 8):
+            db = _seeded_database(omq, rng, size)
+            for level in ([None] if nr else []) + [1, 2, 3]:
+                got = (chase_nr(db, omq.tgds) if level is None
+                       else chase_bounded(db, omq.tgds, level))
+                want = reference_chase(db, omq.tgds, level)
+                assert got.instance.atoms == want.atoms, (target, seed, level)
+                assert got.steps == want.steps, (target, seed, level)
+                assert dict(got.level_of) == want.level_of, (target, seed, level)
+                assert got.complete == want.complete, (target, seed, level)

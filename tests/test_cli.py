@@ -8,7 +8,7 @@ import pytest
 
 import omq
 
-from helpers import SECTION41, SEED89
+from helpers import SECTION41, SEED89, path_program
 from omq import testkit
 from omq.cli import main
 from omq.evaluate import eval_membership
@@ -269,6 +269,16 @@ def test_classify_long_rule_chain(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
     assert json.loads(done.stdout)["flags"]["nonRecursive"] is True
+
+
+def test_eval_long_path_query(tmp_path):
+    path = tmp_path / "path.omq"
+    path.write_text(path_program(5000))
+    for database, count in (("d", 1), ("e", 0)):
+        done = run_process("eval", str(path), "q", database, timeout=120)
+        assert done.returncode in (0, 1), done.stderr
+        assert "Traceback" not in done.stderr
+        assert json.loads(done.stdout)["count"] == count
 
 
 def test_oracle_rewrites_under_the_given_budget(prog_path):

@@ -1,9 +1,11 @@
 import json
 import random
+import sys
+import time
 
 import pytest
 
-from helpers import SECTION41, naive_evaluate_cq
+from helpers import SECTION41, naive_evaluate_cq, path_program
 from omq.errors import SchemaMismatch, UnsupportedClass
 from omq import apps, cli, contain, evaluate, rewrite
 from omq.classify import classify
@@ -207,3 +209,23 @@ def test_prepare_classifies_once(monkeypatch, tmp_path, capsys):
     assert cli.main(["contains", str(program), "q", "r", "--oracle"]) == 0
     assert json.loads(capsys.readouterr().out)["oracleAgrees"]
     assert len(calls) == 2 and len(rewritten) == 2
+
+
+@pytest.mark.parametrize("strategy", ["chase", "rewriting"])
+def test_long_path_query_at_the_default_recursion_limit(strategy):
+    """The search keeps its own stack, so a 1,500-atom query needs no
+    recursion; each atom bound narrows the next to one candidate, so the
+    search takes about one node per atom."""
+    program = parse_program(path_program(1500))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        start = time.perf_counter()
+        found = certain_answers(program.omq("q"), program.databases["d"], strategy)
+        missing = certain_answers(program.omq("q"), program.databases["e"], strategy)
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found == frozenset({()})
+    assert missing == frozenset()
+    assert elapsed < 20, elapsed

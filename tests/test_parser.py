@@ -1,7 +1,9 @@
+import ast
 import importlib
 import pkgutil
 import re
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -250,6 +252,16 @@ def test_patterns_compile_on_the_oldest_supported_python():
         names = _opcode_names(sre_parse.parse(pat.pattern, pat.flags),
                               sre_parse)
         assert not names & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}, pat.pattern
+
+
+def test_modules_parse_as_the_oldest_supported_python():
+    """pyproject.toml admits Python 3.10: no module may use later syntax,
+    such as ``except*`` (3.11)."""
+    sources = sorted(Path(omq.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    for source in sources:
+        ast.parse(source.read_text(encoding="utf-8"), str(source),
+                  feature_version=(3, 10))
 
 
 def test_roundtrip_worked_example():
