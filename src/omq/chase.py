@@ -9,11 +9,14 @@ so chase results are reproducible run to run.
 Each tgd is compiled once, on first use, into search plans of its body and
 head (see ``homs.Plan``), kept on the tgd. A trigger is then a slot binding
 of the body plan together with the facts its atoms map to, and a head check
-searches the head plan with the frontier slots pre-bound. Without a level
-cap, rounds are semi-naive: after the first round, only triggers whose image
-holds an atom added by the previous round are collected. Every older trigger
-was collected in an earlier round and then fired or found its head
-satisfied, which stays so; the fired sequence is that of full rounds.
+searches the head plan with the frontier slots pre-bound. Rounds are
+semi-naive: after the first round, only triggers whose image holds an atom
+added by the previous round are collected. Every older trigger was collected
+in an earlier round and then fired, found its head satisfied (which stays
+so), or exceeded the level cap. The last stays so as well: in a capped run
+(``chase_bounded``, from database atoms at level 0) the atoms that round k
+adds all get level k, so a level never falls once set and an older
+trigger's level never changes. The fired sequence is that of full rounds.
 """
 
 from __future__ import annotations
@@ -150,21 +153,17 @@ def chase_step(instance: Instance, trigger: Trigger,
 
 def _run_to_fixpoint(atoms: set[Atom], index: dict, level_of: dict[Atom, int],
                      tgds: Sequence[TGD], nulls: NullFactory,
-                     max_level: Optional[int]) -> tuple[int, bool]:
-    """Saturate ``atoms`` under ``tgds``; returns (steps, capped).
+                     max_level: Optional[int]) -> int:
+    """Saturate ``atoms`` under ``tgds``; returns the number of steps.
 
     ``index`` is the live fact index of ``atoms`` and grows with it. Each
     round first collects the triggers of every tgd over the atoms at the
     start of the round, then fires them in order; the head checks see
-    every atom fired so far. Without ``max_level`` the rounds after the
-    first are semi-naive; with it every round is full.
-
-    ``capped`` reports that some trigger was left unfired because its derived
-    atoms would exceed ``max_level``.
+    every atom fired so far. The rounds after the first are semi-naive.
+    A trigger whose derived atoms would exceed ``max_level`` is skipped.
     """
     rules = [_rule(t) for t in tgds]
     steps = 0
-    capped = False
     delta = None
     while True:
         fired = False
@@ -174,7 +173,6 @@ def _run_to_fixpoint(atoms: set[Atom], index: dict, level_of: dict[Atom, int],
         for rule, b, image in triggers:
             new_level = 1 + max(map(level_of.__getitem__, image), default=0)
             if max_level is not None and new_level > max_level:
-                capped = True
                 continue
             if rule.satisfied(index, b):
                 continue
@@ -189,9 +187,8 @@ def _run_to_fixpoint(atoms: set[Atom], index: dict, level_of: dict[Atom, int],
                 elif level_of[a] > new_level:
                     level_of[a] = new_level
         if not fired:
-            return steps, capped
-        if max_level is None:
-            delta = added
+            return steps
+        delta = added
 
 
 def chase_nr(db: Database, tgds: Sequence[TGD]) -> ChaseResult:
@@ -208,9 +205,8 @@ def chase_nr(db: Database, tgds: Sequence[TGD]) -> ChaseResult:
     nulls = NullFactory(1)
     steps = 0
     for stratum in strat.strata:
-        s, _ = _run_to_fixpoint(atoms, index, level_of, [tgds[i] for i in stratum],
-                                nulls, None)
-        steps += s
+        steps += _run_to_fixpoint(atoms, index, level_of, [tgds[i] for i in stratum],
+                                  nulls, None)
     return ChaseResult(Instance(atoms), steps, True, level_of, index)
 
 
@@ -228,7 +224,7 @@ def chase_bounded(db: Database, tgds: Sequence[TGD], max_level: int) -> ChaseRes
     index = homs.index_by_predicate(atoms)
     level_of = {a: 0 for a in atoms}
     nulls = NullFactory(1)
-    steps, _ = _run_to_fixpoint(atoms, index, level_of, tgds, nulls, max_level)
+    steps = _run_to_fixpoint(atoms, index, level_of, tgds, nulls, max_level)
     instance = Instance(atoms)
     complete, _ = satisfies(instance, tgds)
     return ChaseResult(instance, steps, complete, level_of, index)

@@ -144,7 +144,8 @@ class Plan:
             return
         matched: list = [None] * n
         if n == 1:
-            # no atom to choose and none to re-cost
+            # half the cost of the general loop on the commonest pattern:
+            # head checks and many evaluated disjuncts have one atom
             free = [s for _, s in slots[0] if b[s] is None]
             for f in cands[0]:
                 if self.match(0, f, b):
@@ -162,21 +163,12 @@ class Plan:
         saved: list = [None] * n  # per depth: (atom, its previous list) re-costed there
         d = 0
         while True:
-            # choose the atom of depth d; one re-costed to a single fact at
-            # the parent node (so still pending) is a shortest, since no
-            # pending list is empty
-            i = -1
-            if d:
-                for j, _ in saved[d - 1]:
-                    if len(cands[j]) == 1:
-                        i = j
-                        break
-            if i < 0:
-                i, size = order[d], len(cands[order[d]])
-                for p in range(d + 1, n):
-                    j = order[p]
-                    if len(cands[j]) < size:
-                        i, size = j, len(cands[j])
+            # choose the atom of depth d: the pending one with the shortest list
+            i, size = order[d], len(cands[order[d]])
+            for p in range(d + 1, n):
+                j = order[p]
+                if len(cands[j]) < size:
+                    i, size = j, len(cands[j])
             p, j = where[i], order[d]
             order[d], order[p] = i, j
             where[i], where[j] = d, p

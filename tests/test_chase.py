@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import SECTION41, reference_chase
+from omq import chase
 from omq.chase import (chase_bounded, chase_nr, chase_step, find_triggers,
                        normalize_tgds, satisfies)
 from omq.classify import classify
@@ -125,6 +126,26 @@ def test_chase_bounded_reaches_fixpoint():
     res = chase_bounded(Database({atom("R", a, b)}), tgds, 1)
     assert res.complete
     assert res.instance.atoms == {atom("R", a, b), atom("P", a)}
+
+
+def test_capped_rounds_after_the_first_collect_new_triggers_only(monkeypatch):
+    """Under a level cap too, a round after the first collects only the
+    triggers whose image holds an atom of the previous round: one each in
+    rounds 2 and 3 (the last one capped), where full rounds collect 2 and 3."""
+    rounds = []
+    triggers = chase._Rule.triggers
+
+    def spy(rule, index, delta=None):
+        out = triggers(rule, index, delta)
+        rounds.append((delta is None, len(out)))
+        return out
+
+    monkeypatch.setattr(chase._Rule, "triggers", spy)
+    tgds = [TGD.of([atom("R", x, y)], [atom("R", y, z)])]
+    res = chase_bounded(Database({atom("R", a, b)}), tgds, 2)
+    assert res.steps == 2 and not res.complete
+    # rounds 1-3, then the model check of the result
+    assert rounds == [(True, 1), (False, 1), (False, 1), (True, 3)]
 
 
 def test_satisfies_examples():
@@ -349,9 +370,9 @@ def test_chase_bounded_monotone_in_level():
 
 @pytest.mark.parametrize("target", ["NR", "F", "L", "S"])
 def test_chase_matches_reference_rounds(target):
-    """``chase_nr`` (semi-naive rounds) and ``chase_bounded`` (full rounds)
-    fire exactly what the rounds before compiled rules fired: the same
-    atoms with the same null ids, steps, levels and completeness."""
+    """``chase_nr`` and ``chase_bounded`` (semi-naive rounds) fire exactly
+    what the full rounds before compiled rules fired: the same atoms with
+    the same null ids, steps, levels and completeness."""
     for seed in range(60):
         cfg = GeneratorConfig(seed=seed, max_predicates=3, max_arity=2,
                               max_tgds=4, target_class=target,
