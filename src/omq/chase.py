@@ -28,8 +28,7 @@ from . import homs
 from .classify import NotStratifiable, stratify
 from .errors import InactiveTrigger, PreconditionViolated
 from .model import (TGD, Atom, Database, Instance, NullFactory, Predicate,
-                    Substitution, Variable, sorted_atoms, tgds_schema,
-                    term_key)
+                    Substitution, Variable, sorted_atoms, tgds_schema)
 
 
 @dataclass(frozen=True)
@@ -87,10 +86,8 @@ class _Rule:
                             key = tuple(b)
                             if key not in found:
                                 found[key] = tuple(image)
-        out = list(found.items())
-        if len(out) > 1:
-            out.sort(key=lambda e: tuple(map(term_key, e[0])))
-        return out
+        # bindings are distinct tuples of terms, so they alone decide the order
+        return sorted(found.items())
 
     def head_binding(self, b) -> list:
         """The head slots under the body binding ``b``; existentials free."""
@@ -272,13 +269,13 @@ def normalize_tgds(tgds: Sequence[TGD]) -> list[TGD]:
         if _is_normal(t):
             out.append(t)
             continue
-        exist = sorted(t.exist_vars, key=lambda v: v.name)
+        exist = sorted(t.exist_vars)
         if not exist:
             # full tgd: one rule per head atom
             for a in sorted_atoms(t.head):
                 out.append(TGD(t.body, (a,), ()))
             continue
-        frontier = sorted(t.frontier, key=lambda v: v.name)
+        frontier = sorted(t.frontier)
         carried: list[Variable] = list(frontier)
         body = t.body
         for z in exist:

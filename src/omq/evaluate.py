@@ -12,8 +12,8 @@ from . import homs
 from .chase import chase_nr
 from .classify import ClassReport, classify
 from .errors import SchemaMismatch, UnsupportedClass
-from .model import (CQ, OMQ, UCQ, Constant, Database, Instance, Variable,
-                    as_ucq, sorted_atoms)
+from .model import (CQ, OMQ, UCQ, Constant, Database, Instance, as_ucq,
+                    sorted_atoms)
 from .rewrite import _xrewrite
 
 AnswerSet = frozenset  # of tuples of Constant
@@ -39,11 +39,15 @@ def evaluate_cq(q: CQ, instance: Instance | Database,
     """
     if not q.body:
         return frozenset({tuple(q.answers)})
+    answers = q.answers
     out = set()
     for h in homs.homomorphisms(_plan(q), instance.atoms, index=index):
-        tup = tuple(h[t] if isinstance(t, Variable) else t for t in q.answers)
-        if all(isinstance(c, Constant) for c in tup):
-            out.add(tup)
+        row = [h.get(t, t) for t in answers]
+        for c in row:
+            if c.__class__ is not Constant:
+                break
+        else:
+            out.add(tuple(row))
     return frozenset(out)
 
 

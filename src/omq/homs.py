@@ -66,7 +66,7 @@ class Plan:
 
     def __init__(self, atoms: Iterable[Atom]):
         atoms = list(atoms)
-        self.variables = tuple(sorted(atoms_variables(atoms), key=lambda v: v.name))
+        self.variables = tuple(sorted(atoms_variables(atoms)))
         self.slot_of = {v: s for s, v in enumerate(self.variables)}
         self.atoms = tuple(
             (a.predicate, tuple(self.slot_of[t] if isinstance(t, Variable) else t

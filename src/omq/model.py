@@ -1,14 +1,21 @@
 """Core immutable data model: terms, atoms, queries, dependencies, substitutions.
 
-Everything here is a frozen dataclass and safe to share across threads; the
-only mutable state in the package are the fresh-null / fresh-constant
-counters, which are confined to a single run (see ``NullFactory``).
+A term is a tuple ``(rank, name)``, or ``(1, id)`` for a null, with rank 0
+for a constant, 1 for a null and 2 for a variable, so terms hash, compare
+and sort as tuples do, without a call into Python code: constants before
+nulls before variables, then by name or id. A term therefore equals the
+plain tuple of the same pair. Predicates, atoms, queries and dependencies
+are frozen dataclasses; ``Schema`` and ``Substitution`` refuse assignment.
+Everything is safe to share across threads; the only mutable state in the
+package are the fresh-null counters, which are confined to a single run
+(see ``NullFactory``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import ModelError
@@ -17,50 +24,54 @@ FROZEN_PREFIX = "$frz"
 NULL_PREFIX = "_:"
 
 
-@dataclass(frozen=True, order=True)
-class Constant:
-    name: str
+class _Term(tuple):
+    """A term as the pair ``(rank, name or id)``; hashing, equality and
+    order are ``tuple``'s."""
 
-    def __hash__(self):
-        return hash(self.name)
+    __slots__ = ()
 
-    def __str__(self):
-        return self.name
+    def __getnewargs__(self):
+        return (self[1],)
 
-
-@dataclass(frozen=True, order=True)
-class Variable:
-    name: str
-
-    def __hash__(self):
-        return hash(self.name)
+    def __repr__(self):
+        return f"{type(self).__name__}({self[1]!r})"
 
     def __str__(self):
-        return self.name
+        return self[1]
 
 
-@dataclass(frozen=True, order=True)
-class Null:
-    id: int
+class Constant(_Term):
+    __slots__ = ()
+    name = property(itemgetter(1))
 
-    def __post_init__(self):
-        if self.id < 1:
-            raise ModelError(f"null ids are positive, got {self.id}")
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, (0, name))
+
+
+class Null(_Term):
+    """A labelled null; ids start at 1."""
+
+    __slots__ = ()
+    id = property(itemgetter(1))
+
+    def __new__(cls, id: int):
+        if id < 1:
+            raise ModelError(f"null ids are positive, got {id}")
+        return tuple.__new__(cls, (1, id))
 
     def __str__(self):
-        return f"{NULL_PREFIX}{self.id}"
+        return f"{NULL_PREFIX}{self[1]}"
+
+
+class Variable(_Term):
+    __slots__ = ()
+    name = property(itemgetter(1))
+
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, (2, name))
 
 
 Term = Union[Constant, Variable, Null]
-
-_KIND_RANK = {Constant: 0, Null: 1, Variable: 2}
-
-
-def term_key(t: Term):
-    """Stable sort key across the three term kinds."""
-    if isinstance(t, Null):
-        return (_KIND_RANK[Null], "", t.id)
-    return (_KIND_RANK[type(t)], t.name, 0)
 
 
 @dataclass(frozen=True, order=True)
@@ -163,12 +174,7 @@ class Atom:
         return {t for t in self.args if isinstance(t, Constant)}
 
     def sort_key(self):
-        cached = getattr(self, "_key", None)
-        if cached is None:
-            cached = (self.predicate.name, self.predicate.arity,
-                      tuple(term_key(t) for t in self.args))
-            object.__setattr__(self, "_key", cached)
-        return cached
+        return (self.predicate.name, self.predicate.arity, self.args)
 
     def __str__(self):
         return f"{self.predicate.name}({', '.join(str(t) for t in self.args)})"
@@ -520,8 +526,7 @@ class Substitution:
         return bool(self.mapping)
 
     def __repr__(self):
-        inner = ", ".join(f"{v}->{t}" for v, t in
-                          sorted(self.mapping.items(), key=lambda kv: kv[0].name))
+        inner = ", ".join(f"{v}->{t}" for v, t in sorted(self.mapping.items()))
         return f"{{{inner}}}"
 
     def apply_term(self, t: Term) -> Term:
@@ -558,7 +563,7 @@ def _normalize(mapping: dict) -> dict:
             if t in path:
                 # variable cycle: collapse onto its lexicographically least member
                 cycle = path[path.index(t):]
-                t = min(cycle, key=lambda x: x.name)
+                t = min(cycle)
                 break
             path.append(t)
             t = mapping[t]
@@ -631,7 +636,7 @@ def freeze_cq(q: CQ) -> tuple[Database, tuple[Constant, ...]]:
     they are disjoint from any constant already present in the query.
     """
     fresh = {v: Constant(f"{FROZEN_PREFIX}{i}")
-             for i, v in enumerate(sorted(q.variables(), key=lambda v: v.name))}
+             for i, v in enumerate(sorted(q.variables()))}
 
     def freeze_term(t: Term) -> Constant:
         return fresh[t] if isinstance(t, Variable) else t

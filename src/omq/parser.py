@@ -334,7 +334,7 @@ def parse_program(text: str) -> Program:
 
 def _render_vars(variables: Iterable[Variable]) -> dict[Variable, str]:
     """Keep variable names that re-parse as variables; rename the rest."""
-    variables = sorted(set(variables), key=lambda v: v.name)
+    variables = sorted(set(variables))
     taken = {v.name for v in variables
              if is_variable_token(v.name) and _IDENT_RE.fullmatch(v.name)}
     out = {}

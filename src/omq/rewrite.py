@@ -61,7 +61,7 @@ def _unify(atoms: Sequence[Atom]) -> Optional[dict[str, Term]]:
     unresolved (a variable may be bound to a bound variable), or None.
 
     Only variables are bound, and the binding is keyed by variable name:
-    a string hashes and compares without calling into Python code.
+    a string keeps its hash, while a term tuple hashes its items anew.
     """
     bind: dict[str, Term] = {}
     first = atoms[0].args
@@ -309,7 +309,7 @@ class _Labelling:
     """
 
     def __init__(self, q: CQ):
-        # variables by name, which hashes without a call into Python code
+        # variables by name, as in ``_unify``
         counts: dict[str, int] = {}
         for a in q.body:
             for t in a.args:
@@ -559,7 +559,14 @@ def _xrewrite_cq(q0: CQ, tgds: Sequence[TGD], s_preds: frozenset[Predicate],
     """The rewritings of q0 over the data schema: the breadth-first closure
     under steps, where a rewriting is new unless it repeats a rewriting and
     a factorization unless it repeats either. Each candidate subset tested
-    counts against the budget."""
+    counts against the budget.
+
+    A tgd whose head predicate is not in a query offers it no subset, so
+    each query visits only the tgds over its predicates, in tgd order."""
+    by_head: dict[Predicate, list[int]] = {}
+    for i, t in enumerate(tgds):
+        (head,) = t.head
+        by_head.setdefault(head.predicate, []).append(i)
     entries: list[tuple[CQ, str]] = [(q0, "rewrite")]  # (query, kind of step)
     dedup = _Dedup()
     dedup.add(q0, "rewrite")
@@ -569,9 +576,10 @@ def _xrewrite_cq(q0: CQ, tgds: Sequence[TGD], s_preds: frozenset[Predicate],
         by_predicate: dict[Predicate, list[Atom]] = {}
         for a in sorted_atoms(q.body):
             by_predicate.setdefault(a.predicate, []).append(a)
-        for t in tgds:
+        for i in sorted(i for p in by_predicate for i in by_head.get(p, ())):
+            t = tgds[i]
             (head,) = t.head
-            pool = by_predicate.get(head.predicate, [])
+            pool = by_predicate[head.predicate]
             for kind, S in _step_subsets(t, pool):
                 tested += 1
                 if tested > budget:

@@ -222,8 +222,7 @@ def _random_tgd(cfg: GeneratorConfig, rng: random.Random,
             body_atoms.append(a)
             if a.variables():
                 prev_var = rng.choice(sorted(a.variables()))
-    body_vars = sorted({v for a in body_atoms for v in a.variables()},
-                       key=lambda v: v.name)
+    body_vars = sorted({v for a in body_atoms for v in a.variables()})
     head_pred = rng.choice(preds)
     head_args: list = []
     exist: list[Variable] = []
@@ -306,7 +305,7 @@ def _random_query(cfg: GeneratorConfig, rng: random.Random,
     for _ in range(n_atoms):
         p = rng.choice(preds)
         atoms.append(Atom(p, tuple(rng.choice(pool) for _ in range(p.arity))))
-    used = sorted({v for a in atoms for v in a.variables()}, key=lambda v: v.name)
+    used = sorted({v for a in atoms for v in a.variables()})
     arity = min(cfg.answer_arity, len(used))
     answers = tuple(rng.sample(used, arity)) if arity else ()
     return CQ(answers, atoms)

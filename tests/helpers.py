@@ -9,12 +9,23 @@ from omq.errors import ProgramSyntaxError
 from omq.classify import MarkedVariableSet, stratify
 from omq.evaluate import prepare
 from omq.homs import add_fact, index_by_predicate
-from omq.model import (CQ, TGD, Atom, Constant, Database, Instance, NullFactory,
-                       Predicate, Substitution, Variable, active_domain,
-                       sorted_atoms, term_key)
+from omq.model import (CQ, TGD, Atom, Constant, Database, Instance, Null,
+                       NullFactory, Predicate, Substitution, Variable,
+                       active_domain, sorted_atoms)
 from omq.parser import _IDENT_RE, _NUMBER_RE
 from omq.rewrite import RENAME_SEP, _rename_apart, cq_isomorphic, mgu
 from omq.testkit import enumerate_databases
+
+
+_KIND_RANK = {Constant: 0, Null: 1, Variable: 2}
+
+
+def term_key(t):
+    """A sort key of terms across the three kinds, built from their names
+    and ids alone: the reference that the order of terms must match."""
+    if isinstance(t, Null):
+        return (_KIND_RANK[Null], "", t.id)
+    return (_KIND_RANK[type(t)], t.name, 0)
 
 
 def naive_evaluate_cq(q: CQ, instance: Instance) -> frozenset:
@@ -487,6 +498,15 @@ schema { p1/2 }
 tgds t { p1(y, u), p1(z, z) -> exists V1 . p1(V1, u). }
 query q(y) :- p1(x, y), p1(z, y).
 """
+
+
+def chain_program(n: int) -> str:
+    """The rule chain ``P_i(x) -> P_{i+1}(x)`` for i < n, with the query
+    ``q(x) :- P_n(x)`` over the data schema ``{ P0/1 }`` and a database
+    ``d`` holding ``P0(a)``."""
+    rules = "".join(f"  P{i}(x) -> P{i + 1}(x).\n" for i in range(n))
+    return (f"schema {{ P0/1 }}\ntgds t {{\n{rules}}}\n"
+            f"query q(x) :- P{n}(x).\ndatabase d {{ P0(a). }}\n")
 
 
 def path_program(n: int) -> str:

@@ -8,7 +8,7 @@ import pytest
 
 import omq
 
-from helpers import SECTION41, SEED89, path_program
+from helpers import SECTION41, SEED89, chain_program, path_program
 from omq import testkit
 from omq.cli import main
 from omq.evaluate import eval_membership
@@ -261,14 +261,39 @@ def test_family_above_cap_exits_2_promptly():
     assert "Traceback" not in done.stderr
 
 
-def test_classify_long_rule_chain(tmp_path):
-    chain = tmp_path / "chain.omq"
-    chain.write_text("tgds t {\n" + "".join(
-        f"  P{i}(x) -> P{i + 1}(x).\n" for i in range(10_000)) + "}\n")
-    done = run_process("classify", str(chain), timeout=60)
+@pytest.fixture(scope="module")
+def chain_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("chain") / "chain.omq"
+    path.write_text(chain_program(10_000))
+    return str(path)
+
+
+def test_classify_long_rule_chain(chain_path):
+    done = run_process("classify", chain_path, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
     assert json.loads(done.stdout)["flags"]["nonRecursive"] is True
+
+
+@pytest.mark.parametrize("argv, key, expected", [
+    (("rewrite", "{p}", "q"), "disjuncts", ["query q(x) :- P0(x)."]),
+    (("eval", "{p}", "q", "d"), "answers", [["a"]]),
+], ids=["rewrite", "eval"])
+def test_rewrite_and_eval_long_rule_chain(chain_path, argv, key, expected):
+    # the rewriting visits only the rules over each query's predicates
+    done = run_process(*(a.format(p=chain_path) for a in argv), timeout=60)
+    assert done.returncode in (0, 1), done.stderr
+    assert "Traceback" not in done.stderr
+    assert json.loads(done.stdout)[key] == expected
+
+
+def test_rewrite_long_path_query(tmp_path):
+    path = tmp_path / "path.omq"
+    path.write_text(path_program(5000))
+    done = run_process("rewrite", str(path), "q", timeout=60)
+    assert done.returncode in (0, 1), done.stderr
+    assert "Traceback" not in done.stderr
+    assert json.loads(done.stdout)["count"] == 1
 
 
 def test_eval_long_path_query(tmp_path):

@@ -8,8 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import omq
+from helpers import term_key
 
 from omq.errors import ModelError
 from omq.model import (CQ, OMQ, TGD, UCQ, Atom, Constant, Database, Instance,
@@ -184,6 +187,70 @@ def test_tgd_of_infers_existentials():
 def test_null_ids_positive():
     with pytest.raises(ModelError):
         Null(0)
+    with pytest.raises(ModelError):
+        Null(-3)
+
+
+def test_terms_are_read_only():
+    for t, field in ((a, "name"), (x, "name"), (Null(2), "id")):
+        with pytest.raises(AttributeError):
+            setattr(t, field, getattr(t, field))
+        with pytest.raises(AttributeError):
+            t.other = 1
+    assert (a.name, x.name, Null(2).id) == ("a", "x", 2)
+
+
+def test_terms_hash_compare_and_sort_as_tuples():
+    """No term class defines ``__hash__``, ``__eq__`` or ``__lt__``: each
+    uses ``tuple``'s, which run without a call into Python code."""
+    for kind in (Constant, Null, Variable):
+        assert issubclass(kind, tuple)
+        for method in ("__hash__", "__eq__", "__lt__"):
+            assert getattr(kind, method) is getattr(tuple, method), (kind, method)
+
+
+def test_term_text_and_tuple_form():
+    assert (str(a), str(x), str(Null(7))) == ("a", "x", "_:7")
+    assert (repr(a), repr(x), repr(Null(7))) == ("Constant('a')", "Variable('x')",
+                                                "Null(7)")
+    # a term is the pair (rank, name or id), and equals that plain tuple
+    assert (a, Null(7), x) == ((0, "a"), (1, 7), (2, "x"))
+    assert len(a) == 2
+
+
+NAMES = st.sampled_from(["a", "b", "x", "y", "0", "10", "9", "A", "a1", "", "é"])
+TERMS = st.one_of(NAMES.map(Constant), NAMES.map(Variable),
+                  st.integers(1, 12).map(Null))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TERMS, max_size=12))
+def test_terms_sort_like_the_reference_key(terms):
+    assert sorted(terms) == sorted(terms, key=term_key)
+    for s, t in zip(terms, terms[1:]):
+        assert (s < t) == (term_key(s) < term_key(t))
+        assert (s == t) == (term_key(s) == term_key(t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(TERMS, TERMS)
+def test_equal_terms_hash_equal_and_kinds_never_meet(s, t):
+    rebuilt = type(s)(s.id if isinstance(s, Null) else s.name)
+    assert rebuilt == s and hash(rebuilt) == hash(s) and rebuilt is not s
+    if type(s) is not type(t):
+        assert s != t and len({s, t}) == 2
+    else:
+        assert (s == t) == (str(s) == str(t))
+
+
+def test_terms_survive_pickle_and_copy():
+    for t in (a, x, Null(3), Constant(""), Variable("é")):
+        clones = [pickle.loads(pickle.dumps(t, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        clones += [copy.copy(t), copy.deepcopy(t)]
+        for clone in clones:
+            assert type(clone) is type(t) and clone == t
+            assert hash(clone) == hash(t) and str(clone) == str(t)
 
 
 def test_omq_rejects_arity_conflicts():
@@ -217,11 +284,13 @@ def test_copies_carry_no_cached_hash():
 
 UNPICKLE = """
 import pickle, sys
-from omq.model import CQ, Constant, Variable, atom
-at, q = pickle.loads(sys.stdin.buffer.read())
+from omq.model import CQ, Constant, Instance, Null, Variable, atom
+at, q, inst = pickle.loads(sys.stdin.buffer.read())
 fresh = atom("R", Variable("x"), Constant("a"))
 assert hash(at) == hash(fresh) and fresh in q.body
 assert q == CQ((Variable("x"),), [fresh, atom("P", Variable("x"))])
+assert inst == Instance([atom("R", Null(1), Constant("a"))])
+assert atom("R", Null(1), Constant("a")) in inst.atoms
 print("ok")
 """
 
@@ -229,12 +298,13 @@ print("ok")
 def test_pickle_hashes_like_a_fresh_atom_under_another_hash_seed():
     at = atom("R", x, a)
     q = CQ((x,), [at, atom("P", x)])
+    inst = Instance([atom("R", Null(1), a)])
     hash(at)
     src = str(Path(omq.__file__).resolve().parent.parent)
     seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
     done = subprocess.run([sys.executable, "-c", UNPICKLE],
-                          input=pickle.dumps((at, q)), capture_output=True,
+                          input=pickle.dumps((at, q, inst)), capture_output=True,
                           env=env, timeout=60)
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout.strip() == b"ok"
